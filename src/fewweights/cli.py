@@ -266,6 +266,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # instances promise arbitrary precision, so decimals of any length must
+    # load and dump
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -193,6 +193,12 @@ class X3CInstance:
     def __post_init__(self):
         if self.n < 1:
             raise InvariantError("x3c.n", "size parameter must be >= 1")
+        # before anything is sized by n: a huge n must not allocate
+        if len(self.triples) != 3 * self.n:
+            raise InvariantError(
+                "x3c.count",
+                f"expected {3 * self.n} triples, got {len(self.triples)}",
+            )
         canon = []
         for t in self.triples:
             t = tuple(sorted(t))

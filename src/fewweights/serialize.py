@@ -50,7 +50,10 @@ def _encode_nat(v: int) -> str:
 def _decode_nat(field: str, v) -> int:
     if not isinstance(v, str) or not _DECIMAL.match(v):
         raise SchemaError("schema.decimal", f"{field}: expected decimal string, got {v!r}")
-    return int(v)
+    try:
+        return int(v)
+    except ValueError as exc:  # e.g. the interpreter's int/str digit limit
+        raise SchemaError("schema.decimal", f"{field}: {exc}") from None
 
 
 def _expect(obj, field: str, types):

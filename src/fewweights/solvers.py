@@ -7,10 +7,9 @@ can be exercised, and all arithmetic is plain Python integers.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate
+from operator import itemgetter
 
-from .core import GuardError, KnapsackInstance, SolverResult
+from .core import GuardError, InvariantError, KnapsackInstance, SolverResult
 
 __all__ = [
     "solve_brute_force",
@@ -42,12 +41,12 @@ def _mask_sums(items) -> tuple[list[int], list[int]]:
     return ws, ps
 
 
-def _mask_indices(mask: int, offset: int = 0) -> frozenset[int]:
+def _mask_indices(mask: int) -> frozenset[int]:
     out = []
     pos = 0
     while mask:
         if mask & 1:
-            out.append(pos + offset)
+            out.append(pos)
         mask >>= 1
         pos += 1
     return frozenset(out)
@@ -115,51 +114,77 @@ def solve_brute_force(inst: KnapsackInstance) -> SolverResult:
     )
 
 
+def _extend_front(front: list, i: int, item, capacity: int) -> list:
+    """Add item ``i`` to a Pareto front of ``(weight, profit, mask)`` entries.
+
+    The front is sorted by weight, and each entry is strictly heavier and
+    strictly more profitable than the one before it.  Shifted entries over
+    ``capacity`` are dropped.  At equal weight the stable sort puts the
+    entry without item ``i`` first, so on equal (weight, profit) it is kept.
+    """
+    w_i, p_i, bit = item.weight, item.profit, 1 << i
+    room = capacity - w_i
+    shifted = [(w + w_i, p + p_i, m | bit) for w, p, m in front if w <= room]
+    out = []
+    last_w, last_p = -1, -1
+    for entry in sorted(front + shifted, key=itemgetter(0)):
+        w, p, _ = entry
+        if p > last_p:
+            if w == last_w:
+                out[-1] = entry
+            else:
+                out.append(entry)
+            last_w, last_p = w, p
+    return out
+
+
 def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
-    """Split the items into halves, enumerate each, sort the second half by
-    weight with running profit maxima, and binary-search it once per subset
-    of the first half.
+    """Build the Pareto front of a prefix and of a suffix of the items, then
+    combine them in one two-pointer sweep (Horowitz–Sahni split with
+    Nemhauser–Ullmann dominance pruning).
+
+    The prefix grows from item 0 and the suffix from item n-1; each next item
+    goes to whichever front is smaller, ties to the prefix.  A front entry is
+    a subset of its side that no other subset of that side dominates by
+    weight and profit, so the best fitting pair over the two fronts is a
+    maximum-profit subset.
 
     The verdict and the achieved (maximum) profit agree with brute force.
-    Ties between witnesses are broken deterministically: first-half masks are
-    visited in ascending order and the earliest sorted second-half entry
-    achieving the running maximum is taken.
+    Ties between witnesses are broken deterministically: among maximum-profit
+    pairs the lightest prefix-front entry wins, paired with the heaviest
+    suffix-front entry that fits; while a front is built, the entry without
+    the later-added item is kept on equal (weight, profit).
     """
     n = len(inst.items)
     if n > MEET_IN_MIDDLE_LIMIT:
         raise GuardError("solve.mim", f"{n} items exceed limit {MEET_IN_MIDDLE_LIMIT}")
     capacity = inst.capacity
-    h1 = (n + 1) // 2
-    ws_a, ps_a = _mask_sums(inst.items[:h1])
-    ws_b, ps_b = _mask_sums(inst.items[h1:])
-
-    pairs = sorted(zip(ws_b, range(len(ws_b))))
-    sorted_w = [w for w, _ in pairs]
-    sorted_mask = [m for _, m in pairs]
-    del pairs
-    sorted_p = [ps_b[m] for m in sorted_mask]
-    del ws_b, ps_b
-    prefix_max = list(accumulate(sorted_p, max))
+    prefix = [(0, 0, 0)]
+    suffix = [(0, 0, 0)]
+    lo, hi = 0, n - 1
+    while lo <= hi:
+        if len(prefix) <= len(suffix):
+            prefix = _extend_front(prefix, lo, inst.items[lo], capacity)
+            lo += 1
+        else:
+            suffix = _extend_front(suffix, hi, inst.items[hi], capacity)
+            hi -= 1
 
     best_p = -1
-    best_a = 0
-    best_j = 0
-    for mask_a, wa in enumerate(ws_a):
-        if wa > capacity:
-            continue
-        j = bisect_right(sorted_w, capacity - wa) - 1
-        # j >= 0: the empty second-half subset has weight 0
-        p = ps_a[mask_a] + prefix_max[j]
-        if p > best_p:
-            best_p = p
-            best_a = mask_a
-            best_j = j
+    best_mask = 0
+    j = len(suffix) - 1
+    for w, p, m in prefix:
+        # prefix weights rise, so the heaviest fitting suffix entry only
+        # moves down; suffix[0] weighs 0 (like the empty subset) and always fits
+        while suffix[j][0] > capacity - w:
+            j -= 1
+        if p + suffix[j][1] > best_p:
+            best_p = p + suffix[j][1]
+            best_mask = m | suffix[j][2]
 
     if best_p < inst.target:
         return SolverResult(feasible=False)
-    want = prefix_max[best_j]
-    idx = next(i for i in range(best_j + 1) if sorted_p[i] == want)
-    chosen = _mask_indices(best_a) | _mask_indices(sorted_mask[idx], offset=h1)
+    chosen = _mask_indices(best_mask)
     return SolverResult(
         feasible=True,
         chosen=chosen,
@@ -199,11 +224,15 @@ def solve_dp_by_weight(inst: KnapsackInstance) -> SolverResult:
         if (taken[i] >> w) & 1:
             chosen.add(i)
             w -= inst.items[i].weight
-    assert w == 0
+    if w != 0:
+        raise InvariantError("solve.dp", f"witness reconstruction left weight {w}")
     chosen = frozenset(chosen)
     achieved_w = inst.subset_weight(chosen)
     achieved_p = inst.subset_profit(chosen)
-    assert achieved_p == best_p
+    if achieved_p != best_p:
+        raise InvariantError(
+            "solve.dp", f"witness profit {achieved_p} differs from optimum {best_p}"
+        )
     return SolverResult(
         feasible=True,
         chosen=chosen,

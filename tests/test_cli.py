@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -146,6 +147,24 @@ class TestSolve:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "knapsack", "items": [], "capacity": "07", "target": "0"}))
         assert main(["solve", str(bad)]) == 2
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_long_integers(self, tmp_path, capsys):
+        src = tmp_path / "long.json"
+        items = [{"weight": "3", "profit": "4"}, {"weight": "5", "profit": "6"}]
+        src.write_text(json.dumps(
+            {"kind": "knapsack", "items": items, "capacity": "9" * 5000, "target": "10"}
+        ))
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+        try:
+            code = main(["solve", str(src), "--method", "mim", "--witness"])
+        finally:
+            sys.set_int_max_str_digits(saved)
+        captured = capsys.readouterr()
+        assert code in (0, 1)
+        assert captured.out.startswith("feasible")
+        assert "Traceback" not in captured.err
 
 
 class TestKernelize:

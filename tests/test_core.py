@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+import tracemalloc
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -188,6 +190,17 @@ class TestTypes:
             X3CInstance(1, ((1, 2, 4), (1, 2, 3), (1, 2, 3)))
         assert err.value.code == "x3c.element"
 
+    def test_x3c_rejects_count_before_sizing_by_n(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvariantError) as err:
+                X3CInstance(10**18, ((1, 2, 3),))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.code == "x3c.count"
+        assert peak < 1 << 20
+
     def test_x3c_rejects_multiplicity(self):
         triples = ((1, 2, 3),) * 4 + ((4, 5, 6),) * 2
         with pytest.raises(InvariantError) as err:
@@ -229,6 +242,18 @@ class TestSerialization:
         inst = KnapsackInstance((Item(big, big + 1),), big, big)
         back = serialize.instance_from_obj(serialize.instance_to_obj(inst))
         assert back.items[0].weight == big
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_over_digit_limit_is_schema_error(self):
+        obj = {"kind": "knapsack", "items": [], "capacity": "9" * 5000, "target": "0"}
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(SchemaError) as err:
+                serialize.instance_from_obj(obj)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert err.value.code == "schema.decimal"
 
     def test_missing_field_is_schema_error(self):
         with pytest.raises(SchemaError) as err:

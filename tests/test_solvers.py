@@ -114,6 +114,15 @@ class TestDeterminism:
         inst = KnapsackInstance((Item(1, 0),), 1, 0)
         assert solve_brute_force(inst).chosen == frozenset()
 
+    def test_mim_tie_break(self):
+        # item 0 starts the prefix front, item 1 the suffix front; the lightest
+        # prefix entry (empty) pairs with the heaviest fitting suffix entry
+        inst = KnapsackInstance((Item(1, 5), Item(1, 5)), 1, 5)
+        assert solve_meet_in_middle(inst).chosen == frozenset({1})
+        # on equal (weight, profit) the entry without the later item stays
+        inst = KnapsackInstance((Item(0, 0), Item(1, 5)), 1, 5)
+        assert solve_meet_in_middle(inst).chosen == frozenset({1})
+
 
 class TestGuards:
     def test_brute_limit(self):
@@ -153,6 +162,63 @@ class TestComposedInstances:
         inputs = [gen_rss(1, s, False) for s in range(4)]
         comp = compose(inputs)
         assert not solve_meet_in_middle(comp.knapsack).feasible
+
+    def test_mim_decides_t8(self):
+        rng = random.Random(8)
+        patterns = [
+            [False] * 8,
+            [i == 5 for i in range(8)],
+            [rng.random() < 0.5 for _ in range(8)],
+        ]
+        for pattern in patterns:
+            comp = compose([gen_rss(1, 100 + s, yes) for s, yes in enumerate(pattern)])
+            assert len(comp.knapsack.items) == 42
+            res = solve_meet_in_middle(comp.knapsack)
+            assert res.feasible == any(pattern), pattern
+            if res.feasible:
+                assert comp.knapsack.subset_weight(res.chosen) == res.achieved_weight
+                assert comp.knapsack.subset_profit(res.chosen) == res.achieved_profit
+                assert res.achieved_weight <= comp.constants.capacity
+                assert res.achieved_profit >= comp.constants.target
+
+
+_SMALL = st.sampled_from([0, 1, 2, 7])
+
+
+@st.composite
+def _pruning_knapsacks(draw):
+    """Up to 16 items in shapes that defeat or stress Pareto pruning."""
+    shape = draw(st.sampled_from(["random", "weight_is_profit", "duplicates", "zeros"]))
+    if shape == "random":
+        pairs = draw(st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)),
+                              max_size=16))
+    elif shape == "weight_is_profit":
+        pairs = [(v, v) for v in draw(st.lists(st.integers(0, 60), max_size=16))]
+    elif shape == "duplicates":
+        palette = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                min_size=1, max_size=3))
+        pairs = draw(st.lists(st.sampled_from(palette), max_size=16))
+    else:
+        pairs = draw(st.lists(st.tuples(_SMALL, _SMALL), max_size=16))
+    total_w = sum(w for w, _ in pairs)
+    total_p = sum(p for _, p in pairs)
+    capacity = draw(st.one_of(st.just(0), st.integers(0, total_w)))
+    target = draw(st.one_of(st.just(0), st.integers(0, total_p + 1)))
+    return KnapsackInstance(tuple(Item(w, p) for w, p in pairs), capacity, target)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_pruning_knapsacks())
+def test_mim_matches_brute_force(inst):
+    expected = solve_brute_force(inst)
+    got = solve_meet_in_middle(inst)
+    assert got.feasible == expected.feasible
+    if got.feasible:
+        # a feasible result carries the maximum profit, not just one >= target
+        assert got.achieved_profit == expected.achieved_profit
+        assert inst.subset_weight(got.chosen) == got.achieved_weight
+        assert inst.subset_profit(got.chosen) == got.achieved_profit
+        assert got.achieved_weight <= inst.capacity
 
 
 @settings(max_examples=300, deadline=None)

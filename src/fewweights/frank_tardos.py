@@ -10,13 +10,16 @@ approximation ``p / q`` good enough that inner products with small ``b``
 cannot cross an integer boundary, then recurses on the approximation residue
 and stitches the levels together with a multiplier large enough that lower
 levels only ever break ties.  The approximation itself comes from LLL on the
-standard ``(r+1)``-dimensional lattice; all arithmetic is exact rationals.
+standard ``(r+1)``-dimensional lattice; all arithmetic is exact integer and
+reduced-rational arithmetic, with the LLL state kept as integer rows and
+``(numerator, denominator)`` pairs of ints rather than ``Fraction`` objects.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import index
 
 from .core import InvariantError
 
@@ -25,68 +28,116 @@ __all__ = ["lll_reduce", "simultaneous_approximation", "frank_tardos_reduce"]
 _DELTA = Fraction(3, 4)
 
 
-def _dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    """The pair ``num / den`` in lowest terms; ``den`` must be positive."""
+    g = gcd(num, den)
+    if g == 1:
+        return num, den
+    return num // g, den // g
 
 
-def _nearest_int(x: Fraction) -> int:
-    # floor(x + 1/2): any nearest integer works for size reduction
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+def _mul_add(x, c, y) -> tuple[int, int]:
+    """``x + c * y`` on reduced ``(numerator, denominator)`` pairs with
+    positive denominators.  The gcds are taken on the factors before they
+    are multiplied (Knuth, TAOCP 4.5.1), so they stay on the smaller numbers."""
+    yn, yd = y
+    cn, cd = c
+    if not (yn and cn):
+        return x
+    g1 = gcd(cn, yd)
+    g2 = gcd(yn, cd)
+    pn = (cn // g1) * (yn // g2)
+    pd = (cd // g2) * (yd // g1)
+    xn, xd = x
+    if not xn:
+        return pn, pd
+    if xd == pd:
+        return _ratio(xn + pn, pd)
+    g = gcd(xd, pd)
+    if g == 1:
+        return xn * pd + pn * xd, xd * pd
+    s = xd // g
+    t = xn * (pd // g) + pn * s
+    g = gcd(t, g)
+    return t // g, s * (pd // g)
 
 
-def _gram_schmidt(basis):
-    """Orthogonalization coefficients mu and squared norms of the orthogonal
-    vectors; the vectors themselves are not needed afterwards."""
-    n = len(basis)
-    ortho = []
-    mu = [[Fraction(0)] * n for _ in range(n)]
+def _gram_schmidt(b):
+    """Gram-Schmidt coefficients mu and squared orthogonal norms as reduced
+    pairs, by the scalar recurrence on the integer Gram matrix:
+    ``r_ij = <b_i, b_j> - sum_{l<j} mu_jl r_il``, ``mu_ij = r_ij / B_j`` and
+    ``B_i = <b_i, b_i> - sum_{j<i} mu_ij r_ij``."""
+    n = len(b)
+    mu = [[(0, 1)] * n for _ in range(n)]
     norms = []
-    for i, row in enumerate(basis):
-        v = [Fraction(x) for x in row]
+    for i, row in enumerate(b):
+        r = []  # r[j] = mu_ij * B_j
         for j in range(i):
-            coeff = _dot(row, ortho[j]) / norms[j]
-            mu[i][j] = coeff
-            v = [x - coeff * y for x, y in zip(v, ortho[j])]
-        ortho.append(v)
-        norms.append(_dot(v, v))
+            rij = (sum(x * y for x, y in zip(row, b[j])), 1)
+            for l in range(j):
+                ln, ld = mu[j][l]
+                rij = _mul_add(rij, (-ln, ld), r[l])
+            r.append(rij)
+            bn, bd = norms[j]
+            mu[i][j] = _ratio(rij[0] * bd, rij[1] * bn)
+        norm = (sum(x * x for x in row), 1)
+        for j in range(i):
+            mn, md = mu[i][j]
+            norm = _mul_add(norm, (-mn, md), r[j])
+        norms.append(norm)
     return mu, norms
 
 
-def lll_reduce(basis, delta: Fraction = _DELTA):
-    """LLL with incremental coefficient updates (no re-orthogonalization), so
-    moderate dimensions stay fast under exact rational arithmetic.  Returns a
-    new reduced basis spanning the same lattice; rows must be independent."""
-    b = [[Fraction(x) for x in row] for row in basis]
+def lll_reduce(basis, delta: Fraction = _DELTA) -> list[list[int]]:
+    """LLL with incremental coefficient updates (no re-orthogonalization).
+
+    Rows must be independent integer vectors.  Returns a new reduced basis
+    of ``int`` rows spanning the same lattice.  The Gram-Schmidt quantities
+    are exact rationals kept as reduced ``(numerator, denominator)`` pairs
+    of ints, which makes the same decisions as ``Fraction`` arithmetic
+    without its per-operation object overhead."""
+    b = [[index(x) for x in row] for row in basis]
     n = len(b)
     if n <= 1:
         return b
+    dn, dd = delta.numerator, delta.denominator
     mu, norms = _gram_schmidt(b)
 
     def size_reduce(k: int, l: int) -> None:
-        q = _nearest_int(mu[k][l])
+        mk, ml = mu[k], mu[l]
+        a, d = mk[l]
+        q = (2 * a + d) // (2 * d)  # floor(mu + 1/2)
         if q:
             b[k] = [x - q * y for x, y in zip(b[k], b[l])]
             for j in range(l):
-                mu[k][j] -= q * mu[l][j]
-            mu[k][l] -= q
+                mk[j] = _mul_add(mk[j], (-q, 1), ml[j])
+            mk[l] = (a - q * d, d)
 
     k = 1
     while k < n:
         size_reduce(k, k - 1)
-        if norms[k] < (delta - mu[k][k - 1] * mu[k][k - 1]) * norms[k - 1]:
+        mn, md = mu[k][k - 1]
+        bn, bd = norms[k]
+        cn, cd = norms[k - 1]
+        md2 = md * md
+        # Lovasz test B_k < (delta - mu^2) B_{k-1}, denominators multiplied out
+        if bn * dd * md2 * cd < (dn * md2 - dd * mn * mn) * cn * bd:
             # swap rows k-1 and k, updating mu and the orthogonal norms in place
-            coeff = mu[k][k - 1]
-            lifted = norms[k] + coeff * coeff * norms[k - 1]
-            mu[k][k - 1] = coeff * norms[k - 1] / lifted
-            norms[k] = norms[k - 1] * norms[k] / lifted
+            lifted = _ratio(bn * md2 * cd + mn * mn * cn * bd, bd * md2 * cd)
+            ln, ld = lifted
+            swapped = _ratio(mn * cn * ld, md * cd * ln)
+            norms[k] = _ratio(cn * bn * ld, cd * bd * ln)
             norms[k - 1] = lifted
+            mu[k][k - 1] = swapped
             b[k - 1], b[k] = b[k], b[k - 1]
             for j in range(k - 1):
                 mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+            neg = (-mn, md)
             for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - coeff * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+                mi = mu[i]
+                t = mi[k]
+                mi[k] = _mul_add(mi[k - 1], neg, t)
+                mi[k - 1] = _mul_add(t, swapped, mi[k])
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):
@@ -115,8 +166,8 @@ def simultaneous_approximation(alpha, eps: Fraction):
     exponent = -((-r * (r + 1)) // 4)  # ceil(r(r+1)/4)
     c = eps ** (r + 1) / 2**exponent
 
-    # scale the lattice to integers; reduction commutes with uniform scaling
-    # and integer rows keep the row operations cheap
+    # scale the lattice to integers, as lll_reduce needs; reduction commutes
+    # with uniform scaling
     scale = lcm(c.denominator, *(a.denominator for a in alpha))
     basis = []
     for i in range(r):
@@ -125,21 +176,26 @@ def simultaneous_approximation(alpha, eps: Fraction):
         basis.append(row)
     basis.append([int(-a * scale) for a in alpha] + [int(c * scale)])
 
-    first = [x / scale for x in lll_reduce(basis)[0]]
+    first = [Fraction(x, scale) for x in lll_reduce(basis)[0]]
     q = first[r] / c
-    assert q.denominator == 1, "last coordinate must be an integer multiple of c"
+    if q.denominator != 1:
+        raise InvariantError("sda.q-integral", f"last coordinate is {q} times c, not a multiple")
     q = q.numerator
-    assert q != 0, "a zero multiplier would mean a sub-unit nonzero integer vector"
+    if q == 0:
+        raise InvariantError("sda.q-zero", "reduced vector has a zero multiplier")
     if q < 0:
         q = -q
         first = [-x for x in first]
     p = []
     for i in range(r):
         value = first[i] + q * alpha[i]
-        assert value.denominator == 1
+        if value.denominator != 1:
+            raise InvariantError("sda.p-integral", f"coordinate {i} is not an integer: {value}")
         p.append(value.numerator)
-    assert all(abs(q * a - pi) <= eps for a, pi in zip(alpha, p))
-    assert q <= 2**exponent * eps**-r
+    if any(abs(q * a - pi) > eps for a, pi in zip(alpha, p)):
+        raise InvariantError("sda.quality", f"q = {q} does not approximate within {eps}")
+    if q > 2**exponent * eps**-r:
+        raise InvariantError("sda.q-bound", f"multiplier {q} exceeds 2**{exponent} / eps**{r}")
     return p, q
 
 

@@ -156,7 +156,11 @@ def solve_grouped(g: GroupedInstance, node_budget: int = _NODE_BUDGET) -> Solver
         found[k] = found_ord[pos]
     achieved_w = sum(x * w for x, w in zip(found, w_flat))
     achieved_p = sum(x * p for x, p in zip(found, p_flat))
-    assert achieved_w <= capacity and achieved_p >= target
+    if achieved_w > capacity or achieved_p < target:
+        raise InvariantError(
+            "grouped.witness",
+            f"witness has weight {achieved_w} > {capacity} or profit {achieved_p} < {target}",
+        )
     return SolverResult(
         feasible=True,
         achieved_weight=achieved_w,
@@ -190,16 +194,16 @@ def reduce_ilp(g: GroupedInstance) -> ReducedILP:
     new_p = tuple(-v for v in reduced_p[:-1])
     new_target = reduced_p[-1]
 
-    # these follow from sign preservation on unit and difference vectors;
-    # kept as cheap self-checks
-    assert all(v > 0 for v in new_w) and all(v > 0 for v in new_p)
-    assert new_cap >= 0 and new_target >= 0
-    for a in range(len(w_flat)):
-        for b in range(a + 1, len(w_flat)):
-            if w_flat[a] == w_flat[b]:
-                assert new_w[a] == new_w[b]
-            if p_flat[a] == p_flat[b]:
-                assert new_p[a] == new_p[b]
+    # equal coefficients stay equal by sign preservation on difference
+    # vectors; positivity is checked by ReducedILP itself
+    for original, reduced in ((w_flat, new_w), (p_flat, new_p)):
+        seen = {}
+        for a, v in zip(original, reduced):
+            if seen.setdefault(a, v) != v:
+                raise InvariantError(
+                    "kernel.reduce-collapse",
+                    f"equal coefficients {a} reduced to {seen[a]} and {v}",
+                )
 
     return ReducedILP(
         weights=new_w,

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import l1_ball, sign
+from fewweights import frank_tardos
 from fewweights.core import InvariantError
 from fewweights.frank_tardos import (
     frank_tardos_reduce,
     lll_reduce,
     simultaneous_approximation,
 )
+from fewweights.generators import gen_knapsack
 
 
 def norm_bound(r: int, n: int) -> int:
@@ -23,6 +25,98 @@ def assert_signs_preserved(w, reduced, n_bound):
         got = sign(sum(x * y for x, y in zip(reduced, b)))
         want = sign(sum(Fraction(x) * y for x, y in zip(w, b)))
         assert got == want, (w, reduced, b)
+
+
+def _dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _reference_gram_schmidt(basis):
+    n = len(basis)
+    ortho = []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = []
+    for i, row in enumerate(basis):
+        v = [Fraction(x) for x in row]
+        for j in range(i):
+            coeff = _dot(row, ortho[j]) / norms[j]
+            mu[i][j] = coeff
+            v = [x - coeff * y for x, y in zip(v, ortho[j])]
+        ortho.append(v)
+        norms.append(_dot(v, v))
+    return mu, norms
+
+
+def _reference_lll(basis, delta=Fraction(3, 4)):
+    """Textbook LLL on Fraction vectors: Gram-Schmidt by vector
+    orthogonalization, then the same size reduction, Lovasz test and swap
+    update as the library.  A slow oracle for bit-identity only."""
+    b = [[Fraction(x) for x in row] for row in basis]
+    n = len(b)
+    if n <= 1:
+        return b
+    mu, norms = _reference_gram_schmidt(b)
+
+    def size_reduce(k, l):
+        m = mu[k][l]
+        q = (2 * m.numerator + m.denominator) // (2 * m.denominator)
+        if q:
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            for j in range(l):
+                mu[k][j] -= q * mu[l][j]
+            mu[k][l] -= q
+
+    k = 1
+    while k < n:
+        size_reduce(k, k - 1)
+        if norms[k] < (delta - mu[k][k - 1] * mu[k][k - 1]) * norms[k - 1]:
+            coeff = mu[k][k - 1]
+            lifted = norms[k] + coeff * coeff * norms[k - 1]
+            mu[k][k - 1] = coeff * norms[k - 1] / lifted
+            norms[k] = norms[k - 1] * norms[k] / lifted
+            norms[k - 1] = lifted
+            b[k - 1], b[k] = b[k], b[k - 1]
+            for j in range(k - 1):
+                mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+            for i in range(k + 1, n):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - coeff * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return b
+
+
+def _assert_matches_reference(basis):
+    out = lll_reduce(basis)
+    assert all(type(x) is int for row in out for x in row)
+    assert out == _reference_lll(basis)
+
+
+def _recorded_bases(monkeypatch, run):
+    """Every basis that ``run()`` hands to ``lll_reduce``."""
+    bases = []
+    real = frank_tardos.lll_reduce
+
+    def recorder(basis, *args):
+        bases.append([list(row) for row in basis])
+        return real(basis, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(frank_tardos, "lll_reduce", recorder)
+        run()
+    return bases
+
+
+def _sda_vector(bits, dim, seed):
+    """A coefficient row as ``reduce_ilp`` builds it: the distinct weights of
+    a ``gen_knapsack`` instance and the negated capacity; plus its budget."""
+    inst = gen_knapsack(dim + 4, dim - 1, 1, 2**bits, seed)
+    vec = sorted({it.weight for it in inst.items}) + [-inst.capacity]
+    return vec, len(inst.items) + 1
 
 
 class TestLLL:
@@ -53,6 +147,43 @@ class TestLLL:
         assert lll_reduce([[5, 7]]) == [[5, 7]]
 
 
+class TestLLLMatchesReference:
+    def test_random_independent_bases(self):
+        rng = random.Random(2024)
+        checked = 0
+        while checked < 200:
+            n = rng.randrange(1, 7)
+            bound = 2 ** rng.randrange(2, 65)
+            basis = [[rng.randrange(-bound, bound + 1) for _ in range(n)] for _ in range(n)]
+            if any(norm == 0 for norm in _reference_gram_schmidt(basis)[1]):
+                continue
+            _assert_matches_reference(basis)
+            checked += 1
+
+    # every level of the recursion; these draws go 1 to 9 levels deep
+    @pytest.mark.parametrize(
+        "bits,dim",
+        [(64, 3), (64, 5), (64, 9), (64, 13), (64, 17), (256, 3), (256, 5), (256, 9)],
+    )
+    def test_sda_bases_of_every_level(self, monkeypatch, bits, dim):
+        vec, budget = _sda_vector(bits, dim, 7 * dim + bits)
+        bases = _recorded_bases(monkeypatch, lambda: frank_tardos_reduce(vec, budget))
+        assert bases and all(len(b) == dim + 1 for b in bases)
+        for basis in bases:
+            _assert_matches_reference(basis)
+
+    # first level only: at 256 bits and dimension 13 the reference takes
+    # seconds per level, and about 13 levels
+    def test_sda_basis_first_level_wide(self, monkeypatch):
+        dim = 13
+        vec, budget = _sda_vector(256, dim, 7 * dim + 256)
+        norm = max(abs(x) for x in vec)
+        unit = [Fraction(x, norm) for x in vec]
+        run = lambda: simultaneous_approximation(unit, Fraction(1, 2 * budget))  # noqa: E731
+        (basis,) = _recorded_bases(monkeypatch, run)
+        _assert_matches_reference(basis)
+
+
 class TestSimultaneousApproximation:
     @pytest.mark.parametrize("seed", range(10))
     def test_quality_and_multiplier_bound(self, seed):
@@ -74,6 +205,25 @@ class TestSimultaneousApproximation:
     def test_rejects_bad_eps(self):
         with pytest.raises(InvariantError):
             simultaneous_approximation([Fraction(1, 2)], Fraction(3, 2))
+
+    # eps = 1/4 gives c = 1/32.  For alpha = (1/2,) the lattice is scaled by
+    # 32, so a reduced first row (x, y) reads as q = y and p = x/32 + y/2;
+    # for alpha = (1/64,) it is scaled by 64 and q = y/2.
+    @pytest.mark.parametrize(
+        "alpha,first,code",
+        [
+            (Fraction(1, 64), [0, 1], "sda.q-integral"),
+            (Fraction(1, 2), [0, 0], "sda.q-zero"),
+            (Fraction(1, 2), [1, 1], "sda.p-integral"),
+            (Fraction(1, 2), [16, 1], "sda.quality"),
+            (Fraction(1, 2), [0, 10], "sda.q-bound"),
+        ],
+    )
+    def test_output_checks_raise(self, monkeypatch, alpha, first, code):
+        monkeypatch.setattr(frank_tardos, "lll_reduce", lambda basis: [first])
+        with pytest.raises(InvariantError) as err:
+            simultaneous_approximation([alpha], Fraction(1, 4))
+        assert err.value.code == code
 
 
 class TestFrankTardosReduce:

@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import fewweights
 
 from conftest import ilp_reference, knapsack_reference
 from fewweights.composition import compose
@@ -143,6 +150,36 @@ class TestReduceIlp:
     def test_reduced_ilp_validates(self):
         with pytest.raises(InvariantError):
             ReducedILP((0,), 1, (1,), 1, (1,), (1, 1))
+
+    def test_collapse_check_survives_optimize(self):
+        # a reduction that splits two equal weights must be refused even
+        # under -O, where assert statements are stripped
+        script = textwrap.dedent(
+            """
+            import sys
+            from fewweights import kernel
+            from fewweights.core import InvariantError
+
+            if not sys.flags.optimize:
+                sys.exit("not running under -O")
+            # keeps every sign but gives each coordinate its own magnitude
+            kernel.frank_tardos_reduce = lambda vec, budget: [
+                (i + 1) if x > 0 else -(i + 1) for i, x in enumerate(vec)
+            ]
+            g = kernel.GroupedInstance((3,), (5, 7), ((1, 1),), 6, 12)
+            try:
+                kernel.reduce_ilp(g)
+            except InvariantError as err:
+                sys.exit(f"InvariantError {err.code}")
+            """
+        )
+        src = str(Path(fewweights.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "InvariantError kernel.reduce-collapse" in proc.stderr
 
 
 class TestBinarySplit:

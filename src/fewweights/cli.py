@@ -111,27 +111,24 @@ def _cmd_kernelize(args) -> int:
     return 0
 
 
+_SOLVERS = {
+    "brute": solve_brute_force,
+    "mim": solve_meet_in_middle,
+    "dp": solve_dp_by_weight,
+    "grouped-bb": lambda inst: solve_grouped(group(inst)),
+}
+
+
 def _cmd_solve(args) -> int:
     inst = load_instance(args.input)
     if not isinstance(inst, KnapsackInstance):
         raise SchemaError("schema.kind", f"{args.input}: expected a knapsack instance")
-    if args.method == "grouped-bb":
-        result = solve_grouped(group(inst))
-    else:
-        solver = {
-            "brute": solve_brute_force,
-            "mim": solve_meet_in_middle,
-            "dp": solve_dp_by_weight,
-        }[args.method]
-        result = solver(inst)
+    result = _SOLVERS[args.method](inst)
     print("feasible" if result.feasible else "infeasible")
     if result.feasible:
         print(f"weight={result.achieved_weight} profit={result.achieved_profit}")
         if args.witness:
-            if result.chosen is not None:
-                print("chosen=" + " ".join(str(i) for i in sorted(result.chosen)))
-            else:
-                print("assignment=" + " ".join(str(x) for x in result.assignment))
+            print("chosen=" + " ".join(str(i) for i in sorted(result.chosen)))
     return 0
 
 
@@ -249,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sol = sub.add_parser("solve", help="exact oracle solvers")
     p_sol.add_argument("input")
-    p_sol.add_argument("--method", choices=["brute", "mim", "dp", "grouped-bb"], default="brute")
+    p_sol.add_argument("--method", choices=list(_SOLVERS), default="brute")
     p_sol.add_argument("--witness", action="store_true")
     p_sol.set_defaults(func=_cmd_solve)
 
@@ -279,6 +276,9 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"guard[{exc.code}]: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # unreadable input, unwritable output
+        print(f"error[io]: {exc}", file=sys.stderr)
+        return 2
     except Error as exc:  # pragma: no cover - future error classes
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2

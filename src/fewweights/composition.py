@@ -99,8 +99,6 @@ class CompositionConstants:
         layer_total = (3**sq - 1) // 2
         capacity = (t - 1) * index_scale + layer_total * quad_scale + (3 * t - 2) * block
         target = capacity + comb(t, 2) * 9 * n * block
-        # fractional-looking profit coefficients below rely on this parity
-        assert (n * block) % 2 == 0
         return cls(
             t=t,
             n=n,
@@ -177,7 +175,6 @@ def build_quadratization_items(constants: CompositionConstants) -> list[Item]:
     carries the square and linear bonus of a single set bit.
     """
     nb = constants.n * constants.block
-    assert nb % 2 == 0
     y = constants.quad_scale
     items = []
     for k in range(constants.lg_t):
@@ -230,28 +227,30 @@ def compose(instances: list[RestrictedSubsetSumInstance]) -> ComposedInstance:
     index = build_index_items(constants)
     items = encoding + quad + index
 
-    t, n, lg_t = constants.t, constants.n, constants.lg_t
-    assert len(encoding) == 3 * n * t
-    assert len(quad) == 3 * comb(lg_t, 2) + lg_t
-    assert len(index) == 2 * lg_t
-
     z, y = constants.index_scale, constants.quad_scale
     # Layer reads are per-item floors summed; they equal floor-of-sum for
     # every subset because the residues below one layer unit cannot carry,
     # which the whole-instance totals certify.
-    assert sum(it.weight % z for it in items) < z
-    assert sum(it.profit % z for it in items) < z
-    assert sum((it.weight % z) % y for it in items) < y
-    assert sum((it.profit % z) % y for it in items) < y
+    if not (
+        sum(it.weight % z for it in items) < z
+        and sum(it.profit % z for it in items) < z
+        and sum((it.weight % z) % y for it in items) < y
+        and sum((it.profit % z) % y for it in items) < y
+    ):
+        raise InvariantError("compose.layers", "residues below a layer unit can carry")
     # Scale dominance: one quad unit outweighs every encoding profit
     # combined, and one index unit outweighs all encoding and quad profits.
-    assert sum(it.profit for it in encoding) < y
-    assert sum(it.profit for it in encoding) + sum(it.profit for it in quad) < z
+    encoding_profit = sum(it.profit for it in encoding)
+    if not (encoding_profit < y and encoding_profit + sum(it.profit for it in quad) < z):
+        raise InvariantError("compose.dominance", "a scale unit does not dominate the layers below")
 
     knapsack = KnapsackInstance(tuple(items), constants.capacity, constants.target)
-    assert count_distinct_weights(knapsack) <= (
-        restricted_universe_size(n) + len(quad) + len(index)
-    )
+    distinct = count_distinct_weights(knapsack)
+    bound = restricted_universe_size(constants.n) + len(quad) + len(index)
+    if distinct > bound:
+        raise InvariantError(
+            "compose.distinct-weights", f"{distinct} distinct weights exceed {bound}"
+        )
 
     label_positions = {it.label: pos for pos, it in enumerate(items)}
     return ComposedInstance(knapsack, constants, tuple(padded), label_positions)

@@ -224,15 +224,14 @@ class X3CInstance:
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Outcome of an exact decision.  ``chosen`` holds item indices and the
-    achieved totals are recomputable from it; ``assignment`` is used by the
-    grouped solver instead of item indices."""
+    """Outcome of an exact decision.  On a feasible result ``chosen`` holds
+    the witness's item indices and the achieved totals are recomputable from
+    it."""
 
     feasible: bool
     chosen: frozenset[int] | None = None
     achieved_weight: int | None = None
     achieved_profit: int | None = None
-    assignment: tuple[int, ...] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +297,7 @@ def enumerate_restricted_universe(n: int) -> list[int]:
     values = {
         p1 + p2 + p3 for p1, p2, p3 in combinations_with_replacement(powers, 3)
     }
-    out = sorted(values)
-    assert len(out) == restricted_universe_size(n)
-    return out
+    return sorted(values)
 
 
 _DIGIT_GUARD = 10**7

@@ -1,17 +1,18 @@
 """Size reduction for instances with few distinct weights and profits.
 
 An instance with ``w#`` distinct weights and ``p#`` distinct profits is a
-bounded integer program with ``w# * p#`` variables: one per (weight, profit)
-class, counting how many items of that class are taken.  When the variable
-count is small relative to the item count, the program is simply solved and
-replaced by a constant-size equivalent.  Otherwise the coefficient vectors
-are shrunk by the sign-preserving reduction and the program is re-encoded as
-a knapsack instance via binary splitting, giving an output whose size depends
-only on ``w# * p#``.
+bounded integer program with at most ``w# * p#`` variables: one per
+nonempty (weight, profit) class, counting how many items of that class are
+taken.  When ``r = w# * p#`` is small relative to the item count, the program
+is simply solved and replaced by a constant-size equivalent.  Otherwise the
+coefficient vectors are shrunk by the sign-preserving reduction and the
+program is re-encoded as a knapsack instance via binary splitting, giving an
+output whose size depends only on ``w# * p#``.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .core import (
@@ -35,42 +36,60 @@ __all__ = [
     "kernelize",
     "kernelize_with_report",
     "instance_bits",
+    "GROUPED_CLASS_LIMIT",
 ]
 
 _NODE_BUDGET = 5_000_000
+# the search recurses once per class, so this keeps it inside the
+# interpreter's default recursion limit of 1000 frames
+GROUPED_CLASS_LIMIT = 512
 
 
 @dataclass(frozen=True)
 class GroupedInstance:
-    """Multiplicity view of a knapsack instance: ``counts[i][j]`` items share
-    weight ``weights[i]`` and profit ``profits[j]``."""
+    """Multiplicity view of a knapsack instance: one ``(weight, profit, item
+    indices)`` entry per nonempty class, sorted by weight, then profit."""
 
-    weights: tuple[int, ...]
-    profits: tuple[int, ...]
-    counts: tuple[tuple[int, ...], ...]
+    classes: tuple[tuple[int, int, tuple[int, ...]], ...]
     capacity: int
     target: int
 
     @property
+    def weights(self) -> tuple[int, ...]:
+        return tuple(sorted({w for w, _, _ in self.classes}))
+
+    @property
+    def profits(self) -> tuple[int, ...]:
+        return tuple(sorted({p for _, p, _ in self.classes}))
+
+    @property
+    def counts(self) -> tuple[tuple[int, ...], ...]:
+        """Dense counts: ``counts[i][j]`` items share weight ``weights[i]``
+        and profit ``profits[j]``."""
+        sizes = {(w, p): len(members) for w, p, members in self.classes}
+        profits = self.profits
+        return tuple(tuple(sizes.get((w, p), 0) for p in profits) for w in self.weights)
+
+    @property
     def item_count(self) -> int:
-        return sum(sum(row) for row in self.counts)
+        return sum(len(members) for _, _, members in self.classes)
 
     @property
     def variable_count(self) -> int:
+        """The parameter ``r = w# * p#``, empty classes included."""
         return len(self.weights) * len(self.profits)
 
 
 @dataclass(frozen=True)
 class ReducedILP:
-    """The grouped program after coefficient reduction, variables flattened
-    row-major over (weight class, profit class)."""
+    """The grouped program after coefficient reduction: at most ``w# * p#``
+    variables, one per nonempty class, in the grouped class order."""
 
     weights: tuple[int, ...]
     capacity: int
     profits: tuple[int, ...]
     target: int
     bounds: tuple[int, ...]
-    shape: tuple[int, int]
 
     def __post_init__(self):
         if any(w <= 0 for w in self.weights) or any(p <= 0 for p in self.profits):
@@ -85,77 +104,70 @@ class ReducedILP:
 def group(inst: KnapsackInstance) -> GroupedInstance:
     """Lossless multiplicity grouping; items of one class are interchangeable
     so feasibility is preserved exactly."""
-    weights = sorted({it.weight for it in inst.items})
-    profits = sorted({it.profit for it in inst.items})
-    w_pos = {w: i for i, w in enumerate(weights)}
-    p_pos = {p: j for j, p in enumerate(profits)}
-    counts = [[0] * len(profits) for _ in weights]
-    for it in inst.items:
-        counts[w_pos[it.weight]][p_pos[it.profit]] += 1
-    return GroupedInstance(
-        tuple(weights),
-        tuple(profits),
-        tuple(tuple(row) for row in counts),
-        inst.capacity,
-        inst.target,
+    by_weight = defaultdict(lambda: defaultdict(list))
+    for i, it in enumerate(inst.items):
+        by_weight[it.weight][it.profit].append(i)
+    classes = tuple(
+        (w, p, tuple(members))
+        for w in sorted(by_weight)
+        for p, members in sorted(by_weight[w].items())
     )
+    return GroupedInstance(classes, inst.capacity, inst.target)
 
 
 def solve_grouped(g: GroupedInstance, node_budget: int = _NODE_BUDGET) -> SolverResult:
     """Exact feasibility of the grouped program by depth-first search with
     weight and optimistic-profit pruning.
 
-    Variables are visited heaviest-first (ties broken by profit then class
-    position) so capacity pruning bites early, and values high-to-low, so the
-    first feasible assignment found is deterministic.  Raises when the node
-    budget runs out; callers fall back to an item-level oracle.
+    Classes are visited heaviest-first (ties broken by higher profit) so
+    capacity pruning bites early, and counts high-to-low, so the first
+    feasible assignment found is deterministic.  A count ``x`` for a class
+    takes its first ``x`` items, which gives the witness ``chosen``.  Raises
+    when the class limit or the node budget is exceeded; callers fall back
+    to an item-level oracle.
     """
-    w_flat = [w for w in g.weights for _ in g.profits]
-    p_flat = [p for _ in g.weights for p in g.profits]
-    bounds = [c for row in g.counts for c in row]
-    m = len(bounds)
+    if len(g.classes) > GROUPED_CLASS_LIMIT:
+        raise GuardError(
+            "solve.grouped",
+            f"{len(g.classes)} classes exceed limit {GROUPED_CLASS_LIMIT}",
+        )
+    classes = g.classes[::-1]
+    m = len(classes)
     capacity, target = g.capacity, g.target
-
-    order = sorted(range(m), key=lambda k: (-w_flat[k], -p_flat[k], k))
-    w_ord = [w_flat[k] for k in order]
-    p_ord = [p_flat[k] for k in order]
-    b_ord = [bounds[k] for k in order]
 
     suffix_profit = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
-        suffix_profit[k] = suffix_profit[k + 1] + b_ord[k] * p_ord[k]
+        _, p, members = classes[k]
+        suffix_profit[k] = suffix_profit[k + 1] + len(members) * p
 
-    assignment = [0] * m
+    taken = [0] * m
     nodes = 0
 
-    def walk(k: int, weight: int, profit: int):
+    def walk(k: int, weight: int, profit: int) -> bool:
+        # on success taken[k:] is all zero: every deeper level resets its count
         nonlocal nodes
         if profit >= target:
-            return assignment[:k] + [0] * (m - k)
+            return True
         if k == m or profit + suffix_profit[k] < target:
-            return None
-        top = b_ord[k]
-        if w_ord[k] > 0:
-            top = min(top, (capacity - weight) // w_ord[k])
+            return False
+        w, p, members = classes[k]
+        top = len(members)
+        if w > 0:
+            top = min(top, (capacity - weight) // w)
         for x in range(top, -1, -1):
             nodes += 1
             if nodes > node_budget:
                 raise GuardError("grouped.budget", f"exceeded {node_budget} nodes")
-            assignment[k] = x
-            found = walk(k + 1, weight + x * w_ord[k], profit + x * p_ord[k])
-            if found is not None:
-                return found
-        assignment[k] = 0
-        return None
+            taken[k] = x
+            if walk(k + 1, weight + x * w, profit + x * p):
+                return True
+        taken[k] = 0
+        return False
 
-    found_ord = walk(0, 0, 0)
-    if found_ord is None:
+    if not walk(0, 0, 0):
         return SolverResult(feasible=False)
-    found = [0] * m
-    for pos, k in enumerate(order):
-        found[k] = found_ord[pos]
-    achieved_w = sum(x * w for x, w in zip(found, w_flat))
-    achieved_p = sum(x * p for x, p in zip(found, p_flat))
+    achieved_w = sum(x * w for x, (w, _, _) in zip(taken, classes))
+    achieved_p = sum(x * p for x, (_, p, _) in zip(taken, classes))
     if achieved_w > capacity or achieved_p < target:
         raise InvariantError(
             "grouped.witness",
@@ -163,9 +175,11 @@ def solve_grouped(g: GroupedInstance, node_budget: int = _NODE_BUDGET) -> Solver
         )
     return SolverResult(
         feasible=True,
+        chosen=frozenset(
+            i for x, (_, _, members) in zip(taken, classes) for i in members[:x]
+        ),
         achieved_weight=achieved_w,
         achieved_profit=achieved_p,
-        assignment=tuple(found),
     )
 
 
@@ -177,18 +191,17 @@ def reduce_ilp(g: GroupedInstance) -> ReducedILP:
     vector of l1-norm at most that budget, so both inequalities keep their
     truth value for every assignment, and the reduced program is equivalent.
     """
-    if any(w <= 0 for w in g.weights) or any(p <= 0 for p in g.profits):
+    weights = [w for w, _, _ in g.classes]
+    profits = [p for _, p, _ in g.classes]
+    if any(w <= 0 for w in weights) or any(p <= 0 for p in profits):
         raise InvariantError(
             "kernel.zero-coefficient",
             "coefficient reduction requires strictly positive weights and profits",
         )
-    w_flat = [w for w in g.weights for _ in g.profits]
-    p_flat = [p for _ in g.weights for p in g.profits]
-    bounds = tuple(c for row in g.counts for c in row)
     budget = g.item_count + 1
 
-    reduced_w = frank_tardos_reduce(w_flat + [-g.capacity], budget)
-    reduced_p = frank_tardos_reduce([-p for p in p_flat] + [g.target], budget)
+    reduced_w = frank_tardos_reduce(weights + [-g.capacity], budget)
+    reduced_p = frank_tardos_reduce([-p for p in profits] + [g.target], budget)
     new_w = tuple(reduced_w[:-1])
     new_cap = -reduced_w[-1]
     new_p = tuple(-v for v in reduced_p[:-1])
@@ -196,7 +209,7 @@ def reduce_ilp(g: GroupedInstance) -> ReducedILP:
 
     # equal coefficients stay equal by sign preservation on difference
     # vectors; positivity is checked by ReducedILP itself
-    for original, reduced in ((w_flat, new_w), (p_flat, new_p)):
+    for original, reduced in ((weights, new_w), (profits, new_p)):
         seen = {}
         for a, v in zip(original, reduced):
             if seen.setdefault(a, v) != v:
@@ -210,8 +223,7 @@ def reduce_ilp(g: GroupedInstance) -> ReducedILP:
         capacity=new_cap,
         profits=new_p,
         target=new_target,
-        bounds=bounds,
-        shape=(len(g.weights), len(g.profits)),
+        bounds=tuple(len(members) for _, _, members in g.classes),
     )
 
 
@@ -267,8 +279,8 @@ def kernelize_with_report(inst: KnapsackInstance):
     distinct weights times distinct profits, plus a report of the branch
     taken.
 
-    When the variable count is small against the item count (``r lg r <=
-    lg n`` on bit lengths, ties solving), the instance is solved outright and
+    When ``r = w# * p#`` is small against the item count (``r lg r <= lg n``
+    on bit lengths, ties solving), the instance is solved outright and
     collapsed to a canonical constant-size yes or no instance; otherwise the
     grouped program is coefficient-reduced and re-encoded.
     """

@@ -229,6 +229,8 @@ def load_instance(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError("schema.json", f"{path}: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("schema.json", f"{path}: JSON nested too deeply") from None
     return instance_from_obj(obj)

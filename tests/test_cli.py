@@ -6,13 +6,16 @@ import sys
 import pytest
 
 from fewweights.cli import main, verify_compose
+from fewweights.composition import compose
 from fewweights.core import (
+    Item,
     KnapsackInstance,
     RestrictedSubsetSumInstance,
     X3CInstance,
 )
+from fewweights.kernel import GROUPED_CLASS_LIMIT
 from fewweights.serialize import dump_instance, load_instance
-from fewweights.generators import gen_knapsack
+from fewweights.generators import gen_knapsack, gen_rss
 
 
 @pytest.fixture
@@ -129,6 +132,51 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "chosen=" in out
 
+    @staticmethod
+    def _assert_valid_witness(inst, out):
+        verdict, totals, witness = out.splitlines()
+        assert verdict == "feasible"
+        assert witness.startswith("chosen=")
+        chosen = [int(i) for i in witness.removeprefix("chosen=").split()]
+        weight, profit = inst.subset_weight(chosen), inst.subset_profit(chosen)
+        assert totals == f"weight={weight} profit={profit}"
+        assert weight <= inst.capacity and profit >= inst.target
+
+    @pytest.mark.parametrize("method", ["brute", "mim", "dp", "grouped-bb"])
+    def test_witness_every_method(self, tmp_path, capsys, method):
+        inst = KnapsackInstance(
+            (Item(3, 4), Item(5, 6), Item(3, 4), Item(7, 9), Item(2, 1)), 10, 12
+        )
+        src = tmp_path / "k.json"
+        dump_instance(inst, src)
+        assert main(["solve", str(src), "--method", method, "--witness"]) == 0
+        self._assert_valid_witness(inst, capsys.readouterr().out)
+
+    def test_grouped_t16_composed_yes_instance(self, tmp_path, capsys):
+        # 78 items, r = w# * p# = 2584, but only 76 nonempty classes
+        inst = compose([gen_rss(1, s, s == 3) for s in range(16)]).knapsack
+        src = tmp_path / "c16.json"
+        dump_instance(inst, src)
+        assert main(["solve", str(src), "--method", "grouped-bb", "--witness"]) == 0
+        self._assert_valid_witness(inst, capsys.readouterr().out)
+
+    def test_grouped_class_guard(self, tmp_path, capsys):
+        inst = KnapsackInstance(tuple(Item(w, 1) for w in range(1, 1201)), 10, 5)
+        src = tmp_path / "distinct.json"
+        dump_instance(inst, src)
+        assert main(["solve", str(src), "--method", "grouped-bb"]) == 3
+        assert capsys.readouterr().err.startswith("guard[solve.grouped]")
+
+    def test_grouped_at_class_limit(self, tmp_path, capsys):
+        # the search recurses once per class; at the limit it must still fit
+        # the stack with every class taken
+        n = GROUPED_CLASS_LIMIT
+        inst = KnapsackInstance(tuple(Item(w, 1) for w in range(1, n + 1)), n * n, n)
+        src = tmp_path / "limit.json"
+        dump_instance(inst, src)
+        assert main(["solve", str(src), "--method", "grouped-bb", "--witness"]) == 0
+        self._assert_valid_witness(inst, capsys.readouterr().out)
+
     def test_dp_guard_on_composed(self, composed_file, capsys):
         # composed capacities exceed the table guard by design
         assert main(["solve", str(composed_file), "--method", "dp"]) == 3
@@ -165,6 +213,37 @@ class TestSolve:
         assert code in (0, 1)
         assert captured.out.startswith("feasible")
         assert "Traceback" not in captured.err
+
+
+class TestIOErrors:
+    """Unreadable input and unwritable output exit 2 with an error line."""
+
+    def _expect_error(self, argv, capsys, code):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{code}]")
+        assert "Traceback" not in err
+
+    def test_missing_input(self, tmp_path, capsys):
+        self._expect_error(["solve", str(tmp_path / "absent.json")], capsys, "io")
+
+    def test_directory_as_input(self, tmp_path, capsys):
+        self._expect_error(["kernelize", str(tmp_path)], capsys, "io")
+
+    def test_invalid_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"kind": "knapsack\xff"}')
+        self._expect_error(["solve", str(bad)], capsys, "schema.json")
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000)
+        self._expect_error(["solve", str(bad)], capsys, "schema.json")
+
+    def test_out_into_missing_directory(self, rss_files, tmp_path, capsys):
+        yes, _ = rss_files
+        out = tmp_path / "missing" / "c.json"
+        self._expect_error(["compose", str(yes), str(yes), "--out", str(out)], capsys, "io")
 
 
 class TestKernelize:

@@ -26,6 +26,7 @@ from fewweights.core import (
     Encoding,
     Index,
     InvariantError,
+    Item,
     KnapsackInstance,
     Quadratization,
     RestrictedSubsetSumInstance,
@@ -157,6 +158,28 @@ class TestCompose:
         assert sum(isinstance(x, Encoding) for x in labels) == 3 * n * t
         assert sum(isinstance(x, Quadratization) for x in labels) == 3 * comb(lg_t, 2) + lg_t
         assert sum(isinstance(x, Index) for x in labels) == 2 * lg_t
+
+    @pytest.mark.parametrize(
+        "code", ["compose.layers", "compose.dominance", "compose.distinct-weights"]
+    )
+    def test_output_checks_raise(self, monkeypatch, code):
+        # one extra encoding item breaks exactly one property of the output
+        import fewweights.composition as composition
+
+        def extra(c):
+            if code == "compose.layers":
+                return [Item(c.index_scale - 1, 0)]
+            if code == "compose.dominance":
+                return [Item(0, c.quad_scale)]
+            return [Item(w, 0) for w in range(1, 15)]
+
+        real = composition.build_encoding_items
+        monkeypatch.setattr(
+            composition, "build_encoding_items", lambda inputs, c: real(inputs, c) + extra(c)
+        )
+        with pytest.raises(InvariantError) as err:
+            compose([YES1, YES1])
+        assert err.value.code == code
 
     def test_mixed_sizes_rejected(self):
         with pytest.raises(InvariantError):

@@ -35,6 +35,19 @@ def brute_feasible(inst: KnapsackInstance) -> bool:
     return best >= inst.target
 
 
+def make_grouped(weights, profits, counts, capacity, target) -> GroupedInstance:
+    """Grouped program from dense ``counts[i][j]``; items are numbered in
+    row-major order and empty classes are left out."""
+    classes = []
+    next_item = 0
+    for w, row in zip(weights, counts):
+        for p, c in zip(profits, row):
+            if c:
+                classes.append((w, p, tuple(range(next_item, next_item + c))))
+                next_item += c
+    return GroupedInstance(tuple(classes), capacity, target)
+
+
 def grouped_reference(g: GroupedInstance) -> bool:
     w_flat = [w for w in g.weights for _ in g.profits]
     p_flat = [p for _ in g.weights for p in g.profits]
@@ -52,7 +65,15 @@ class TestGroup:
         g = group(inst)
         assert g.weights == (2,) and g.profits == (3, 7)
         assert g.counts == ((2, 1),)
+        assert g.classes == ((2, 3, (0, 1)), (2, 7, (2,)))
         assert g.item_count == 3 and g.variable_count == 2
+
+    def test_keeps_only_nonempty_classes(self):
+        inst = KnapsackInstance((Item(2, 3), Item(5, 7), Item(2, 3)), 5, 6)
+        g = group(inst)
+        assert g.classes == ((2, 3, (0, 2)), (5, 7, (1,)))
+        assert g.counts == ((2, 0), (0, 1))
+        assert g.variable_count == 4
 
     def test_empty(self):
         g = group(KnapsackInstance((), 0, 0))
@@ -69,17 +90,22 @@ class TestGroup:
 
 class TestSolveGrouped:
     def test_example(self):
-        g = GroupedInstance((2,), (3, 7), ((2, 1),), 5, 9)
+        g = make_grouped((2,), (3, 7), ((2, 1),), 5, 9)
         res = solve_grouped(g)
         assert res.feasible
         assert res.achieved_weight == 4 and res.achieved_profit == 10
-        assert res.assignment == (1, 1)
+        assert res.chosen == frozenset({0, 2})
 
-    def test_all_zero_counts(self):
-        g = GroupedInstance((5,), (5,), ((0,),), 10, 0)
-        assert solve_grouped(g).feasible
-        g = GroupedInstance((5,), (5,), ((0,),), 10, 1)
-        assert not solve_grouped(g).feasible
+    @pytest.mark.parametrize("seed", range(60))
+    def test_chosen_is_a_witness(self, seed):
+        rng = random.Random(70000 + seed)
+        n = rng.randrange(1, 13)
+        inst = gen_knapsack(n, rng.randint(1, min(3, n)), rng.randint(1, min(3, n)), 50, seed)
+        res = solve_grouped(group(inst))
+        assert res.feasible == brute_feasible(inst)
+        if res.feasible:
+            assert inst.subset_weight(res.chosen) == res.achieved_weight <= inst.capacity
+            assert inst.subset_profit(res.chosen) == res.achieved_profit >= inst.target
 
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_assignment_enumeration(self, seed):
@@ -97,7 +123,7 @@ class TestSolveGrouped:
         total_p = sum(
             c * p for row in counts for c, p in zip(row, profits)
         )
-        g = GroupedInstance(
+        g = make_grouped(
             tuple(weights),
             tuple(profits),
             counts,
@@ -109,7 +135,7 @@ class TestSolveGrouped:
     def test_budget_guard(self):
         # capacity-bound infeasibility defeats the optimistic-profit prune,
         # so the search has to churn through assignments
-        g = GroupedInstance(
+        g = make_grouped(
             (10, 11), (10, 11), ((10, 10), (10, 10)), 100, 111
         )
         assert not solve_grouped(g).feasible
@@ -119,7 +145,7 @@ class TestSolveGrouped:
 
 class TestReduceIlp:
     def test_tight_instance_keeps_equality(self):
-        g = GroupedInstance((10**9,), (10**9,), ((1,),), 10**9, 10**9)
+        g = make_grouped((10**9,), (10**9,), ((1,),), 10**9, 10**9)
         ri = reduce_ilp(g)
         assert ri.weights[0] == ri.capacity
         assert ri.profits[0] == ri.target
@@ -149,7 +175,7 @@ class TestReduceIlp:
 
     def test_reduced_ilp_validates(self):
         with pytest.raises(InvariantError):
-            ReducedILP((0,), 1, (1,), 1, (1,), (1, 1))
+            ReducedILP((0,), 1, (1,), 1, (1,))
 
     def test_collapse_check_survives_optimize(self):
         # a reduction that splits two equal weights must be refused even
@@ -166,7 +192,7 @@ class TestReduceIlp:
             kernel.frank_tardos_reduce = lambda vec, budget: [
                 (i + 1) if x > 0 else -(i + 1) for i, x in enumerate(vec)
             ]
-            g = kernel.GroupedInstance((3,), (5, 7), ((1, 1),), 6, 12)
+            g = kernel.GroupedInstance(((3, 5, (0,)), (3, 7, (1,))), 6, 12)
             try:
                 kernel.reduce_ilp(g)
             except InvariantError as err:
@@ -202,7 +228,7 @@ class TestBinarySplit:
 
 class TestIlpToKnapsack:
     def test_item_counts_follow_split(self):
-        ri = ReducedILP((3,), 10, (2,), 4, (5,), (1, 1))
+        ri = ReducedILP((3,), 10, (2,), 4, (5,))
         out = ilp_to_knapsack(ri)
         assert [(it.weight, it.profit) for it in out.items] == [
             (3, 2), (6, 4), (6, 4),
@@ -219,7 +245,6 @@ class TestIlpToKnapsack:
             tuple(rng.randrange(1, 20) for _ in range(vars_)),
             rng.randrange(0, 60),
             tuple(rng.randrange(0, 5) for _ in range(vars_)),
-            (vars_, 1),
         )
         out = ilp_to_knapsack(ri)
         assert len(out.items) <= 3 * vars_

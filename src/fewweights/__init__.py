@@ -17,6 +17,7 @@ from .core import (
     Error,
     GuardError,
     Index,
+    InternalError,
     InvariantError,
     Item,
     KnapsackInstance,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes are uniform across subcommands: 0 success, 1 verification
-failure, 2 invalid input, 3 guard or budget exceeded.
+failure or a failed internal check, 2 invalid input, 3 guard or budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import (
     Error,
     GuardError,
     Index,
+    InternalError,
     InvariantError,
     KnapsackInstance,
     RestrictedSubsetSumInstance,
@@ -270,6 +272,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InternalError as exc:  # a failed post-condition of the library
+        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+        return 1
     except (SchemaError, InvariantError) as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2

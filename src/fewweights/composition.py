@@ -27,6 +27,7 @@ from math import comb
 from .core import (
     Encoding,
     Index,
+    InternalError,
     InvariantError,
     Item,
     KnapsackInstance,
@@ -237,18 +238,18 @@ def compose(instances: list[RestrictedSubsetSumInstance]) -> ComposedInstance:
         and sum((it.weight % z) % y for it in items) < y
         and sum((it.profit % z) % y for it in items) < y
     ):
-        raise InvariantError("compose.layers", "residues below a layer unit can carry")
+        raise InternalError("compose.layers", "residues below a layer unit can carry")
     # Scale dominance: one quad unit outweighs every encoding profit
     # combined, and one index unit outweighs all encoding and quad profits.
     encoding_profit = sum(it.profit for it in encoding)
     if not (encoding_profit < y and encoding_profit + sum(it.profit for it in quad) < z):
-        raise InvariantError("compose.dominance", "a scale unit does not dominate the layers below")
+        raise InternalError("compose.dominance", "a scale unit does not dominate the layers below")
 
     knapsack = KnapsackInstance(tuple(items), constants.capacity, constants.target)
     distinct = count_distinct_weights(knapsack)
     bound = restricted_universe_size(constants.n) + len(quad) + len(index)
     if distinct > bound:
-        raise InvariantError(
+        raise InternalError(
             "compose.distinct-weights", f"{distinct} distinct weights exceed {bound}"
         )
 

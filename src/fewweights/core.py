@@ -17,6 +17,7 @@ __all__ = [
     "Error",
     "SchemaError",
     "InvariantError",
+    "InternalError",
     "GuardError",
     "Encoding",
     "Quadratization",
@@ -50,6 +51,11 @@ class SchemaError(Error):
 
 class InvariantError(Error):
     """Structurally well-formed value violating a type invariant."""
+
+
+class InternalError(InvariantError):
+    """A post-condition of the library's own output failed: a bug, not bad
+    input."""
 
 
 class GuardError(Error):

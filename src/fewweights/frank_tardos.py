@@ -13,6 +13,16 @@ levels only ever break ties.  The approximation itself comes from LLL on the
 standard ``(r+1)``-dimensional lattice; all arithmetic is exact integer and
 reduced-rational arithmetic, with the LLL state kept as integer rows and
 ``(numerator, denominator)`` pairs of ints rather than ``Fraction`` objects.
+
+The reduction never makes a row longer.  Its fallback is the exact row: the
+vector over a common denominator, divided by the gcd of its entries, which
+keeps every sign.  A level whose unit vector has a common denominator within
+the multiplier bound ``Q`` is approximated exactly, without LLL; at the first
+level that makes the answer the exact row itself.  The levels keep a lower
+bound on the stitched row's largest entry, and the loop stops as soon as it
+reaches the exact row's, so LLL is never run for a row that cannot be
+shorter.  Either fallback row is no longer than the lattice row would be, so
+the size bound above still holds.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 
-from .core import InvariantError
+from .core import InternalError, InvariantError
 
 __all__ = ["lll_reduce", "simultaneous_approximation", "frank_tardos_reduce"]
 
@@ -146,6 +156,12 @@ def lll_reduce(basis, delta: Fraction = _DELTA) -> list[list[int]]:
     return b
 
 
+def _multiplier_bound(r: int, eps: Fraction) -> Fraction:
+    """``Q = 2**ceil(r(r+1)/4) * eps**(-r)``: the largest multiplier
+    :func:`simultaneous_approximation` may return in dimension ``r``."""
+    return 2 ** -((-r * (r + 1)) // 4) * eps**-r
+
+
 def simultaneous_approximation(alpha, eps: Fraction):
     """Integers ``(p, q)`` with ``|q * alpha_i - p_i| <= eps`` for all ``i``
     and ``1 <= q <= 2**ceil(r(r+1)/4) * eps**(-r)``.
@@ -163,8 +179,8 @@ def simultaneous_approximation(alpha, eps: Fraction):
         raise InvariantError("sda.eps", f"eps must lie in (0, 1), got {eps}")
     if any(abs(a) > 1 for a in alpha):
         raise InvariantError("sda.norm", "coordinates must lie in [-1, 1]")
-    exponent = -((-r * (r + 1)) // 4)  # ceil(r(r+1)/4)
-    c = eps ** (r + 1) / 2**exponent
+    q_bound = _multiplier_bound(r, eps)
+    c = eps / q_bound  # eps**(r+1) / 2**ceil(r(r+1)/4)
 
     # scale the lattice to integers, as lll_reduce needs; reduction commutes
     # with uniform scaling
@@ -179,10 +195,10 @@ def simultaneous_approximation(alpha, eps: Fraction):
     first = [Fraction(x, scale) for x in lll_reduce(basis)[0]]
     q = first[r] / c
     if q.denominator != 1:
-        raise InvariantError("sda.q-integral", f"last coordinate is {q} times c, not a multiple")
+        raise InternalError("sda.q-integral", f"last coordinate is {q} times c, not a multiple")
     q = q.numerator
     if q == 0:
-        raise InvariantError("sda.q-zero", "reduced vector has a zero multiplier")
+        raise InternalError("sda.q-zero", "reduced vector has a zero multiplier")
     if q < 0:
         q = -q
         first = [-x for x in first]
@@ -190,28 +206,46 @@ def simultaneous_approximation(alpha, eps: Fraction):
     for i in range(r):
         value = first[i] + q * alpha[i]
         if value.denominator != 1:
-            raise InvariantError("sda.p-integral", f"coordinate {i} is not an integer: {value}")
+            raise InternalError("sda.p-integral", f"coordinate {i} is not an integer: {value}")
         p.append(value.numerator)
     if any(abs(q * a - pi) > eps for a, pi in zip(alpha, p)):
-        raise InvariantError("sda.quality", f"q = {q} does not approximate within {eps}")
-    if q > 2**exponent * eps**-r:
-        raise InvariantError("sda.q-bound", f"multiplier {q} exceeds 2**{exponent} / eps**{r}")
+        raise InternalError("sda.quality", f"q = {q} does not approximate within {eps}")
+    if q > q_bound:
+        raise InternalError("sda.q-bound", f"multiplier {q} exceeds {q_bound}")
     return p, q
 
 
-def _reduce_recursive(w: list[Fraction], n_bound: int) -> list[int]:
-    if all(x == 0 for x in w):
-        return [0] * len(w)
-    norm = max(abs(x) for x in w)
-    unit = [x / norm for x in w]
+def _lattice_row(w: list[Fraction], n_bound: int, ceiling: int) -> list[int] | None:
+    """The Frank-Tardos row of ``w``, or ``None`` when its largest entry is
+    not below ``ceiling``; the loop stops as soon as that is certain."""
     eps = Fraction(1, 2 * n_bound)
-    p, q = simultaneous_approximation(unit, eps)
-    # coordinates at the max (and all zeros) round exactly, so the support
-    # strictly shrinks and the recursion ends after at most dim(w) levels
-    residue = [q * u - pi for u, pi in zip(unit, p)]
-    deeper = _reduce_recursive(residue, n_bound)
-    scale = 2 * n_bound * max((abs(x) for x in deeper), default=0) + 1
-    return [scale * pi + di for pi, di in zip(p, deeper)]
+    q_bound = _multiplier_bound(len(w), eps)
+    levels = []
+    # lower bound on the final row's largest entry: at a level's argmax
+    # coordinate |out| >= scale * q - M >= (2N - 1) * q * M, where M is the
+    # largest entry of the deeper row, and M >= 1 when the residue is nonzero
+    least = 1
+    while any(w):
+        norm = max(abs(x) for x in w)
+        unit = [x / norm for x in w]
+        denominator = lcm(*(u.denominator for u in unit))
+        if denominator <= q_bound:
+            # an exact approximation within the multiplier bound: no residue
+            p, q = [int(u * denominator) for u in unit], denominator
+        else:
+            p, q = simultaneous_approximation(unit, eps)
+        # coordinates at the max (and all zeros) round exactly, so the support
+        # strictly shrinks and the loop ends after at most dim(w) levels
+        w = [q * u - pi for u, pi in zip(unit, p)]
+        least *= q * (2 * n_bound - 1 if any(w) else 1)
+        if least >= ceiling:
+            return None
+        levels.append(p)
+    out = [0] * len(w)
+    for p in reversed(levels):
+        scale = 2 * n_bound * max(abs(x) for x in out) + 1
+        out = [scale * pi + di for pi, di in zip(p, out)]
+    return out if max(abs(x) for x in out) < ceiling else None
 
 
 def frank_tardos_reduce(weights, n_bound: int) -> list[int]:
@@ -221,6 +255,10 @@ def frank_tardos_reduce(weights, n_bound: int) -> list[int]:
     Equal input coordinates are collapsed before reduction and re-expanded
     afterwards; grouping the entries of any ``b`` can only lower its l1-norm,
     so the contract carries over and equal coordinates provably stay equal.
+
+    The result is the exact row (the distinct entries divided by their gcd)
+    whenever that row is within the multiplier bound ``Q`` or no longer than
+    the lattice row, so ``max |v_i|`` never exceeds that of the exact row.
     """
     entries = [Fraction(x) for x in weights]
     if not entries:
@@ -230,6 +268,9 @@ def frank_tardos_reduce(weights, n_bound: int) -> list[int]:
     common = lcm(*(f.denominator for f in entries))
     scaled = [int(f * common) for f in entries]
     distinct = sorted(set(scaled))
-    reduced = _reduce_recursive([Fraction(v) for v in distinct], n_bound)
+    g = gcd(*distinct) or 1
+    exact = [v // g for v in distinct]
+    ceiling = max(abs(v) for v in exact)
+    reduced = _lattice_row([Fraction(v) for v in exact], n_bound, ceiling) or exact
     lookup = dict(zip(distinct, reduced))
     return [lookup[v] for v in scaled]

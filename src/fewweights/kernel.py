@@ -5,9 +5,10 @@ bounded integer program with at most ``w# * p#`` variables: one per
 nonempty (weight, profit) class, counting how many items of that class are
 taken.  When ``r = w# * p#`` is small relative to the item count, the program
 is simply solved and replaced by a constant-size equivalent.  Otherwise the
-coefficient vectors are shrunk by the sign-preserving reduction and the
-program is re-encoded as a knapsack instance via binary splitting, giving an
-output whose size depends only on ``w# * p#``.
+coefficient vectors go through the sign-preserving reduction, which never
+grows a row's largest entry, and the program is re-encoded as a knapsack
+instance via binary splitting, giving an output whose size depends only on
+``w# * p#``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 from .core import (
     GuardError,
+    InternalError,
     InvariantError,
     Item,
     KnapsackInstance,
@@ -169,7 +171,7 @@ def solve_grouped(g: GroupedInstance, node_budget: int = _NODE_BUDGET) -> Solver
     achieved_w = sum(x * w for x, (w, _, _) in zip(taken, classes))
     achieved_p = sum(x * p for x, (_, p, _) in zip(taken, classes))
     if achieved_w > capacity or achieved_p < target:
-        raise InvariantError(
+        raise InternalError(
             "grouped.witness",
             f"witness has weight {achieved_w} > {capacity} or profit {achieved_p} < {target}",
         )
@@ -184,8 +186,9 @@ def solve_grouped(g: GroupedInstance, node_budget: int = _NODE_BUDGET) -> Solver
 
 
 def reduce_ilp(g: GroupedInstance) -> ReducedILP:
-    """Shrink the grouped program's two coefficient rows with the
-    sign-preserving reduction at norm budget ``item count + 1``.
+    """Reduce the grouped program's two coefficient rows with the
+    sign-preserving reduction at norm budget ``item count + 1``; it never
+    grows a row, so no coefficient exceeds the largest one of its row.
 
     Any candidate assignment ``x`` together with a trailing 1 is an integer
     vector of l1-norm at most that budget, so both inequalities keep their
@@ -213,7 +216,7 @@ def reduce_ilp(g: GroupedInstance) -> ReducedILP:
         seen = {}
         for a, v in zip(original, reduced):
             if seen.setdefault(a, v) != v:
-                raise InvariantError(
+                raise InternalError(
                     "kernel.reduce-collapse",
                     f"equal coefficients {a} reduced to {seen[a]} and {v}",
                 )

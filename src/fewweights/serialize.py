@@ -77,6 +77,13 @@ def _label_to_obj(label: Label | None):
     raise SchemaError("schema.label", f"unknown label {label!r}")
 
 
+def _label_index(obj, field: str) -> int:
+    v = _expect(obj, field, int)
+    if v < 0:
+        raise SchemaError("schema.label", f"{field}: negative label index {v}")
+    return v
+
+
 def _label_from_obj(obj) -> Label | None:
     if obj is None:
         return None
@@ -84,14 +91,14 @@ def _label_from_obj(obj) -> Label | None:
         raise SchemaError("schema.label", "label must be an object")
     kind = _expect(obj, "kind", str)
     if kind == "encoding":
-        return Encoding(_expect(obj, "instance", int), _expect(obj, "position", int))
+        return Encoding(_label_index(obj, "instance"), _label_index(obj, "position"))
     if kind == "quadratization":
         bits = _expect(obj, "bits", list)
-        if len(bits) != 2 or any(b not in (0, 1) for b in bits):
+        if len(bits) != 2 or any(type(b) is not int or b not in (0, 1) for b in bits):
             raise SchemaError("schema.label", f"bad quadratization bits {bits!r}")
-        return Quadratization((bits[0], bits[1]), _expect(obj, "k", int), _expect(obj, "l", int))
+        return Quadratization((bits[0], bits[1]), _label_index(obj, "k"), _label_index(obj, "l"))
     if kind == "index":
-        return Index(_expect(obj, "bit", int), _expect(obj, "k", int))
+        return Index(_label_index(obj, "bit"), _label_index(obj, "k"))
     raise SchemaError("schema.label", f"unknown label kind {kind!r}")
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .core import GuardError, InvariantError, KnapsackInstance, SolverResult
+from .core import GuardError, InternalError, KnapsackInstance, SolverResult
 
 __all__ = [
     "solve_brute_force",
@@ -225,12 +225,12 @@ def solve_dp_by_weight(inst: KnapsackInstance) -> SolverResult:
             chosen.add(i)
             w -= inst.items[i].weight
     if w != 0:
-        raise InvariantError("solve.dp", f"witness reconstruction left weight {w}")
+        raise InternalError("solve.dp", f"witness reconstruction left weight {w}")
     chosen = frozenset(chosen)
     achieved_w = inst.subset_weight(chosen)
     achieved_p = inst.subset_profit(chosen)
     if achieved_p != best_p:
-        raise InvariantError(
+        raise InternalError(
             "solve.dp", f"witness profit {achieved_p} differs from optimum {best_p}"
         )
     return SolverResult(

@@ -246,6 +246,54 @@ class TestIOErrors:
         self._expect_error(["compose", str(yes), str(yes), "--out", str(out)], capsys, "io")
 
 
+class TestLabels:
+    """Label fields that are not naturals, or bits that are not 0 or 1, are
+    schema errors."""
+
+    @pytest.mark.parametrize(
+        "label",
+        [
+            {"kind": "quadratization", "bits": [True, 0], "k": 0, "l": 1},
+            {"kind": "quadratization", "bits": [0.0, 1], "k": 0, "l": 1},
+            {"kind": "quadratization", "bits": [0, 1], "k": -5, "l": 2},
+            {"kind": "quadratization", "bits": [0, 1], "k": 0, "l": -1},
+            {"kind": "encoding", "instance": -1, "position": 0},
+            {"kind": "encoding", "instance": 0, "position": -2},
+            {"kind": "index", "bit": -1, "k": 0},
+            {"kind": "index", "bit": 0, "k": -3},
+        ],
+    )
+    def test_bad_label_is_input_error(self, tmp_path, capsys, label):
+        src = tmp_path / "k.json"
+        doc = {
+            "kind": "knapsack",
+            "items": [{"weight": "3", "profit": "4", "label": label}],
+            "capacity": "7",
+            "target": "4",
+        }
+        src.write_text(json.dumps(doc))
+        assert main(["solve", str(src)]) == 2
+        assert capsys.readouterr().err.startswith("error[schema.label]")
+
+
+class TestInternalErrors:
+    def test_failed_post_condition_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a reduction that keeps every sign but splits two equal weights
+        import fewweights.kernel as kernel
+
+        monkeypatch.setattr(
+            kernel,
+            "frank_tardos_reduce",
+            lambda vec, budget: [(i + 1) if x > 0 else -(i + 1) for i, x in enumerate(vec)],
+        )
+        src = tmp_path / "k.json"
+        dump_instance(KnapsackInstance((Item(3, 5), Item(3, 7)), 6, 12), src)
+        assert main(["kernelize", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[kernel.reduce-collapse]")
+        assert "Traceback" not in err
+
+
 class TestKernelize:
     def test_report_and_output(self, tmp_path, capsys):
         src = tmp_path / "k.json"

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import l1_ball, sign
 from fewweights import frank_tardos
@@ -119,6 +122,33 @@ def _sda_vector(bits, dim, seed):
     return vec, len(inst.items) + 1
 
 
+def _residue_chain_bases(monkeypatch, vec, budget):
+    """Every basis of the Frank-Tardos residue chain of ``vec``: each level
+    runs ``simultaneous_approximation`` until the residue is zero, whether or
+    not the library would stop there."""
+    eps = Fraction(1, 2 * budget)
+
+    def run():
+        w = [Fraction(v) for v in sorted(set(vec))]
+        while any(w):
+            norm = max(abs(x) for x in w)
+            unit = [x / norm for x in w]
+            p, q = simultaneous_approximation(unit, eps)
+            w = [q * u - pi for u, pi in zip(unit, p)]
+
+    return _recorded_bases(monkeypatch, run)
+
+
+def _exact_row(vec):
+    """The row the reduction falls back to: the distinct entries over a
+    common denominator, divided by their gcd, in the input's order."""
+    entries = [Fraction(x) for x in vec]
+    common = lcm(*(f.denominator for f in entries))
+    scaled = [int(f * common) for f in entries]
+    g = gcd(*scaled) or 1
+    return [v // g for v in scaled]
+
+
 class TestLLL:
     def test_reduces_a_classic_basis(self):
         basis = [[1, 1, 1], [-1, 0, 2], [3, 5, 6]]
@@ -160,17 +190,25 @@ class TestLLLMatchesReference:
             _assert_matches_reference(basis)
             checked += 1
 
-    # every level of the recursion; these draws go 1 to 9 levels deep
-    @pytest.mark.parametrize(
-        "bits,dim",
-        [(64, 3), (64, 5), (64, 9), (64, 13), (64, 17), (256, 3), (256, 5), (256, 9)],
-    )
+    # every level of the residue chain, and how deep each draw's chain goes.
+    # The library stops early where the exact row is within the multiplier
+    # bound or provably shorter, so the chain is walked here level by level
+    CHAIN_LEVELS = {
+        (64, 3): 3, (64, 5): 5, (64, 9): 2, (64, 13): 1, (64, 17): 1,
+        (256, 3): 3, (256, 5): 5, (256, 9): 9,
+    }
+
+    @pytest.mark.parametrize("bits,dim", list(CHAIN_LEVELS))
     def test_sda_bases_of_every_level(self, monkeypatch, bits, dim):
         vec, budget = _sda_vector(bits, dim, 7 * dim + bits)
-        bases = _recorded_bases(monkeypatch, lambda: frank_tardos_reduce(vec, budget))
-        assert bases and all(len(b) == dim + 1 for b in bases)
+        bases = _residue_chain_bases(monkeypatch, vec, budget)
+        assert len(bases) == self.CHAIN_LEVELS[bits, dim]
+        assert all(len(b) == dim + 1 for b in bases)
         for basis in bases:
             _assert_matches_reference(basis)
+        # the library runs a prefix of the same chain
+        ran = _recorded_bases(monkeypatch, lambda: frank_tardos_reduce(vec, budget))
+        assert ran == bases[: len(ran)]
 
     # first level only: at 256 bits and dimension 13 the reference takes
     # seconds per level, and about 13 levels
@@ -275,6 +313,67 @@ class TestFrankTardosReduce:
     def test_rejects_empty(self):
         with pytest.raises(InvariantError):
             frank_tardos_reduce([], 2)
+
+    def test_exact_row_within_multiplier_bound_skips_lll(self, monkeypatch):
+        # 64-bit entries in dimension 13 sit below Q = 2**ceil(13*14/4) * (2N)**13
+        vec, budget = _sda_vector(64, 13, 7 * 13 + 64)
+
+        def refuse(*args):
+            raise AssertionError("lll_reduce called")
+
+        monkeypatch.setattr(frank_tardos, "lll_reduce", refuse)
+        assert frank_tardos_reduce(vec, budget) == _exact_row(vec)
+
+    def test_stops_once_the_lattice_row_cannot_be_shorter(self, monkeypatch):
+        # the full residue chain of this row is 9 levels deep
+        vec, budget = _sda_vector(256, 9, 7 * 9 + 256)
+        calls = []
+        real = frank_tardos.simultaneous_approximation
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(frank_tardos, "simultaneous_approximation", counted)
+        assert frank_tardos_reduce(vec, budget) == _exact_row(vec)
+        assert 1 <= len(calls) < 9
+
+    # rows whose lattice row is longer than the row itself
+    @pytest.mark.parametrize(
+        "w,n_bound", [([0, 17, 3], 1), ([17, 5], 2), ([17, 14, 0], 1)]
+    )
+    def test_small_rows_do_not_grow(self, w, n_bound):
+        out = frank_tardos_reduce(w, n_bound)
+        assert max(abs(v) for v in out) <= max(abs(v) for v in w)
+        assert_signs_preserved(w, out, n_bound)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(0),
+                st.integers(-20, 20),
+                st.integers(-(2**80), 2**80),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(1, 4),
+        st.integers(1, 2**20),
+        st.integers(1, 12),
+        st.randoms(use_true_random=False),
+    )
+    def test_signs_and_no_growth(self, values, n_bound, factor, denominator, rng):
+        # a common factor, a shared denominator and a repeated entry
+        w = [Fraction(v * factor, denominator) for v in values]
+        if len(w) < 4:
+            w.insert(rng.randrange(len(w) + 1), rng.choice(w))
+        out = frank_tardos_reduce(w, n_bound)
+        assert all(type(v) is int for v in out)
+        largest = max(abs(v) for v in out)
+        assert largest <= max(abs(v) for v in _exact_row(w))
+        assert largest <= norm_bound(len(w), n_bound)
+        assert_signs_preserved(w, out, n_bound)
 
     def test_rejects_zero_budget(self):
         with pytest.raises(InvariantError):

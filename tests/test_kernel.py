@@ -290,6 +290,24 @@ class TestKernelize:
         out, report = kernelize_with_report(inst)
         assert brute_feasible(inst) == brute_feasible(out), report
 
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize(
+        "shape", [("gen", 4, 64), ("gen", 8, 64), ("gen", 4, 256), ("gen", 8, 256),
+                  ("compose", 2, 1), ("compose", 4, 1)],
+    )
+    def test_never_grows(self, shape, seed):
+        kind, a, b = shape
+        rng = random.Random(7000 + seed)
+        if kind == "gen":
+            inst = gen_knapsack(rng.randint(24, 30), a, a, 2**b, rng.getrandbits(32))
+        else:
+            yes = [rng.random() < 0.5 for _ in range(a)]
+            inst = compose([gen_rss(b, rng.getrandbits(32), y) for y in yes]).knapsack
+        out, report = kernelize_with_report(inst)
+        assert report["branch"] == "reduced"
+        assert instance_bits(out) <= instance_bits(inst)
+        assert solve_meet_in_middle(out).feasible == solve_meet_in_middle(inst).feasible
+
     def test_report_fields(self):
         inst = KnapsackInstance((Item(2, 3),) * 3, 4, 6)
         _, report = kernelize_with_report(inst)

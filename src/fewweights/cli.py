@@ -136,7 +136,8 @@ def _cmd_solve(args) -> int:
 
 def verify_compose(t: int, n: int, trials: int, seed: int, log=print):
     """Compose planted yes/no patterns and check the exact oracle agrees with
-    the OR of the labels.
+    the OR of the labels, and that every feasible witness is canonical: it
+    hits capacity and target exactly and spells out the index of a yes-input.
 
     The all-no pattern and every single-yes pattern run unconditionally;
     further random patterns are drawn until ``trials`` rows ran.  Returns
@@ -161,23 +162,19 @@ def verify_compose(t: int, n: int, trials: int, seed: int, log=print):
     for pattern in patterns:
         inputs = [gen_rss(n, rng.randrange(2**32), yes) for yes in pattern]
         composed = compose(inputs)
-        name, oracle = pick_oracle(composed.knapsack)
-        result = oracle(composed.knapsack)
+        knap = composed.knapsack
+        name, oracle = pick_oracle(knap)
+        result = oracle(knap)
         expected = any(pattern)
         ok = result.feasible == expected
-        if ok and result.feasible and name == "brute":
-            # the maximal witness must spell out the index of a solved input
-            chosen_index_items = frozenset(
-                composed.knapsack.items[i].label
-                for i in result.chosen
-                if isinstance(composed.knapsack.items[i].label, Index)
+        if ok and result.feasible:
+            labels = [knap.items[i].label for i in result.chosen]
+            spelled = frozenset(label for label in labels if isinstance(label, Index))
+            exact = (result.achieved_weight, result.achieved_profit) == (knap.capacity, knap.target)
+            ok = exact and any(
+                yes and spelled == index_labels(i, composed.constants.lg_t)
+                for i, yes in enumerate(pattern)
             )
-            solved = [
-                i
-                for i in range(t)
-                if chosen_index_items == index_labels(i, composed.constants.lg_t)
-            ]
-            ok = len(solved) == 1 and pattern[solved[0]]
         bits = "".join("1" if b else "0" for b in pattern)
         status = "pass" if ok else "FAIL"
         log(f"{bits:<{max(7, t)}} {name:<6} {str(result.feasible):<7} {str(expected):<8} {status}")

@@ -98,7 +98,7 @@ def _gram_schmidt(b):
     return mu, norms
 
 
-def lll_reduce(basis, delta: Fraction = _DELTA) -> list[list[int]]:
+def lll_reduce(basis) -> list[list[int]]:
     """LLL with incremental coefficient updates (no re-orthogonalization).
 
     Rows must be independent integer vectors.  Returns a new reduced basis
@@ -110,7 +110,7 @@ def lll_reduce(basis, delta: Fraction = _DELTA) -> list[list[int]]:
     n = len(b)
     if n <= 1:
         return b
-    dn, dd = delta.numerator, delta.denominator
+    dn, dd = _DELTA.numerator, _DELTA.denominator
     mu, norms = _gram_schmidt(b)
 
     def size_reduce(k: int, l: int) -> None:

@@ -25,7 +25,7 @@ from .core import (
     SolverResult,
 )
 from .frank_tardos import frank_tardos_reduce
-from .solvers import MEET_IN_MIDDLE_LIMIT, solve_meet_in_middle
+from .solvers import solve_meet_in_middle
 
 __all__ = [
     "GroupedInstance",
@@ -117,7 +117,7 @@ def group(inst: KnapsackInstance) -> GroupedInstance:
     return GroupedInstance(classes, inst.capacity, inst.target)
 
 
-def solve_grouped(g: GroupedInstance, node_budget: int = _NODE_BUDGET) -> SolverResult:
+def solve_grouped(g: GroupedInstance) -> SolverResult:
     """Exact feasibility of the grouped program by depth-first search with
     weight and optimistic-profit pruning.
 
@@ -125,8 +125,8 @@ def solve_grouped(g: GroupedInstance, node_budget: int = _NODE_BUDGET) -> Solver
     capacity pruning bites early, and counts high-to-low, so the first
     feasible assignment found is deterministic.  A count ``x`` for a class
     takes its first ``x`` items, which gives the witness ``chosen``.  Raises
-    when the class limit or the node budget is exceeded; callers fall back
-    to an item-level oracle.
+    when the class limit or the node budget ``_NODE_BUDGET`` is exceeded;
+    callers fall back to an item-level oracle.
     """
     if len(g.classes) > GROUPED_CLASS_LIMIT:
         raise GuardError(
@@ -158,8 +158,8 @@ def solve_grouped(g: GroupedInstance, node_budget: int = _NODE_BUDGET) -> Solver
             top = min(top, (capacity - weight) // w)
         for x in range(top, -1, -1):
             nodes += 1
-            if nodes > node_budget:
-                raise GuardError("grouped.budget", f"exceeded {node_budget} nodes")
+            if nodes > _NODE_BUDGET:
+                raise GuardError("grouped.budget", f"exceeded {_NODE_BUDGET} nodes")
             taken[k] = x
             if walk(k + 1, weight + x * w, profit + x * p):
                 return True
@@ -285,7 +285,8 @@ def kernelize_with_report(inst: KnapsackInstance):
     When ``r = w# * p#`` is small against the item count (``r lg r <= lg n``
     on bit lengths, ties solving), the instance is solved outright and
     collapsed to a canonical constant-size yes or no instance; otherwise the
-    grouped program is coefficient-reduced and re-encoded.
+    grouped program is coefficient-reduced and re-encoded.  A grouped search
+    out of nodes falls back to meet-in-the-middle and its entry budget.
     """
     g = group(inst)
     r = g.variable_count
@@ -294,8 +295,6 @@ def kernelize_with_report(inst: KnapsackInstance):
         try:
             verdict = solve_grouped(g).feasible
         except GuardError:
-            if n > MEET_IN_MIDDLE_LIMIT:
-                raise
             verdict = solve_meet_in_middle(inst).feasible
         out = _CANONICAL_YES if verdict else _CANONICAL_NO
         branch = "solved"

@@ -11,25 +11,15 @@ import pytest
 from fewweights.core import Item, KnapsackInstance, RestrictedSubsetSumInstance
 
 
-def knapsack_reference(inst: KnapsackInstance):
-    """Max-profit feasible subset by direct combination enumeration.
-
-    Returns (max_profit, witness) where the witness is the lexicographically
-    smallest index tuple among max-profit subsets (python tuple comparison is
-    exactly that order).
-    """
-    best_profit = -1
-    best_combo = None
+def knapsack_reference(inst: KnapsackInstance) -> int:
+    """Maximum profit of a subset within the capacity, by direct combination
+    enumeration (the empty subset always fits)."""
+    best_profit = 0
     for r in range(len(inst.items) + 1):
         for combo in itertools.combinations(range(len(inst.items)), r):
-            w = sum(inst.items[i].weight for i in combo)
-            if w > inst.capacity:
-                continue
-            p = sum(inst.items[i].profit for i in combo)
-            if p > best_profit or (p == best_profit and combo < best_combo):
-                best_profit = p
-                best_combo = combo
-    return best_profit, frozenset(best_combo)
+            if sum(inst.items[i].weight for i in combo) <= inst.capacity:
+                best_profit = max(best_profit, sum(inst.items[i].profit for i in combo))
+    return best_profit
 
 
 def subset_sum_reference(numbers, target) -> bool:

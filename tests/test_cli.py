@@ -181,6 +181,17 @@ class TestSolve:
         # composed capacities exceed the table guard by design
         assert main(["solve", str(composed_file), "--method", "dp"]) == 3
 
+    def test_mim_entry_budget(self, tmp_path, capsys):
+        # weight = profit = 2**i puts every subset on the Pareto front, so the
+        # fronts double with each item; at 48 items they once ran out of memory
+        inst = KnapsackInstance(tuple(Item(2**i, 2**i) for i in range(48)), 2**48, 2**48)
+        src = tmp_path / "doubling.json"
+        dump_instance(inst, src)
+        assert main(["solve", str(src), "--method", "mim"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("guard[solve.mim]")
+        assert "Traceback" not in err
+
     def test_brute_guard(self, tmp_path, capsys):
         big = tmp_path / "big.json"
         dump_instance(gen_knapsack(26, 3, 3, 50, 1), big)
@@ -304,6 +315,21 @@ class TestKernelize:
         assert set(report) == {"r", "branch", "input_bits", "output_bits"}
         assert isinstance(load_instance(out), KnapsackInstance)
 
+    def test_fallback_guard(self, tmp_path, capsys, monkeypatch):
+        # the solved branch falls back to meet-in-the-middle when the grouped
+        # search runs out of nodes, and reports that oracle's guard
+        import fewweights.kernel as kernel
+        import fewweights.solvers as solvers
+
+        monkeypatch.setattr(kernel, "_NODE_BUDGET", 1)
+        monkeypatch.setattr(solvers, "MEET_IN_MIDDLE_BUDGET", 1)
+        src = tmp_path / "k.json"
+        dump_instance(KnapsackInstance((Item(3, 10),) * 4 + (Item(3, 5),) * 4, 15, 41), src)
+        assert main(["kernelize", str(src)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("guard[solve.mim]")
+        assert "Traceback" not in err
+
     def test_stdout_instance(self, tmp_path, capsys):
         src = tmp_path / "k.json"
         dump_instance(gen_knapsack(5, 1, 1, 9, 3), src)
@@ -326,6 +352,24 @@ class TestVerify:
         ok, rows, failures = verify_compose(2, 2, 0, 7, log=lambda *_: None)
         assert ok and not failures
         assert len(rows) == 3  # all-no plus the two single-yes patterns
+
+    def test_witness_must_hit_capacity(self, monkeypatch):
+        # right verdicts and index items, but a witness one short of capacity
+        import dataclasses
+
+        import fewweights.cli as cli
+        from fewweights.solvers import solve_meet_in_middle
+
+        def short(inst):
+            res = solve_meet_in_middle(inst)
+            if not res.feasible:
+                return res
+            return dataclasses.replace(res, achieved_weight=res.achieved_weight - 1)
+
+        monkeypatch.setattr(cli, "pick_oracle", lambda inst: ("short", short))
+        ok, rows, failures = verify_compose(2, 1, 0, 3, log=lambda *_: None)
+        assert not ok
+        assert [f[0] for f in failures] == [(True, False), (False, True)]
 
     def test_mismatch_writes_counterexamples(self, tmp_path, monkeypatch, capsys):
         """A verdict mismatch must exit 1 and leave the offending inputs on disk."""

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import fewweights
+import fewweights.kernel as kernel
 
 from conftest import ilp_reference, knapsack_reference
 from fewweights.composition import compose
@@ -27,12 +28,11 @@ from fewweights.kernel import (
     reduce_ilp,
     solve_grouped,
 )
-from fewweights.solvers import solve_meet_in_middle
+from fewweights.solvers import solve_brute_force, solve_meet_in_middle
 
 
 def brute_feasible(inst: KnapsackInstance) -> bool:
-    best, _ = knapsack_reference(inst)
-    return best >= inst.target
+    return knapsack_reference(inst) >= inst.target
 
 
 def make_grouped(weights, profits, counts, capacity, target) -> GroupedInstance:
@@ -132,15 +132,16 @@ class TestSolveGrouped:
         )
         assert solve_grouped(g).feasible == grouped_reference(g)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         # capacity-bound infeasibility defeats the optimistic-profit prune,
         # so the search has to churn through assignments
         g = make_grouped(
             (10, 11), (10, 11), ((10, 10), (10, 10)), 100, 111
         )
         assert not solve_grouped(g).feasible
+        monkeypatch.setattr(kernel, "_NODE_BUDGET", 10)
         with pytest.raises(GuardError):
-            solve_grouped(g, node_budget=10)
+            solve_grouped(g)
 
 
 class TestReduceIlp:
@@ -307,6 +308,39 @@ class TestKernelize:
         assert report["branch"] == "reduced"
         assert instance_bits(out) <= instance_bits(inst)
         assert solve_meet_in_middle(out).feasible == solve_meet_in_middle(inst).feasible
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mim_fallback_when_grouped_budget_runs_out(self, seed, monkeypatch):
+        # one weight and two profits, so r <= 2 and 8-16 items take the solved
+        # branch; every high-profit item fits, but the target needs a low one
+        # too, so the search needs a second node and a budget of one runs
+        # out; even seeds are yes-instances, odd seeds miss the best by one
+        rng = random.Random(31000 + seed)
+        n, w = rng.randint(8, 16), rng.randint(1, 9)
+        low, high = rng.randint(1, 9), rng.randint(10, 19)
+        profits = [high, low, low] + [rng.choice((low, high)) for _ in range(n - 3)]
+        items = tuple(Item(w, p) for p in profits)
+        n_high = profits.count(high)
+        capacity = rng.randint(w * (n_high + 1), w * n)
+        best = n_high * high + min(n - n_high, capacity // w - n_high) * low
+        target = best + 1 if seed % 2 else rng.randint(n_high * high + 1, best)
+        inst = KnapsackInstance(items, capacity, target)
+
+        calls = []
+
+        def spy(i):
+            calls.append(i)
+            return solve_meet_in_middle(i)
+
+        monkeypatch.setattr(kernel, "_NODE_BUDGET", 1)
+        monkeypatch.setattr(kernel, "solve_meet_in_middle", spy)
+        out, report = kernelize_with_report(inst)
+        assert report["branch"] == "solved" and calls == [inst]
+        canonical_yes = KnapsackInstance((Item(1, 1),), 1, 1)
+        canonical_no = KnapsackInstance((), 0, 1)
+        expected = solve_brute_force(inst).feasible
+        assert expected == (seed % 2 == 0)
+        assert out == (canonical_yes if expected else canonical_no)
 
     def test_report_fields(self):
         inst = KnapsackInstance((Item(2, 3),) * 3, 4, 6)

@@ -6,26 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fewweights.solvers as solvers
 from conftest import knapsack_reference, random_knapsack
-from fewweights.composition import compose
-from fewweights.core import GuardError, Item, KnapsackInstance
+from fewweights.composition import compose, index_labels
+from fewweights.core import GuardError, Index, Item, KnapsackInstance
 from fewweights.generators import gen_rss
+from fewweights.kernel import group, solve_grouped
 from fewweights.solvers import (
     BRUTE_FORCE_LIMIT,
     DP_CAPACITY_LIMIT,
-    MEET_IN_MIDDLE_LIMIT,
     pick_oracle,
     solve_brute_force,
     solve_dp_by_weight,
     solve_meet_in_middle,
 )
-from fewweights.solvers import _lex_mask_less
 
 ALL_SOLVERS = [solve_brute_force, solve_meet_in_middle, solve_dp_by_weight]
 
 
-def _mask_tuple(mask):
-    return tuple(i for i in range(12) if mask >> i & 1)
+def _doubling_items(n):
+    """Item ``i`` has weight = profit = 2**i, so every subset is on the
+    Pareto front and each front doubles with every item it takes."""
+    return tuple(Item(2**i, 2**i) for i in range(n))
 
 
 @pytest.mark.parametrize("solver", ALL_SOLVERS)
@@ -57,7 +59,7 @@ class TestKnownAnswers:
 
 def test_small_dp_optimum_cross_check():
     inst = KnapsackInstance((Item(2, 3), Item(2, 3), Item(2, 7)), 5, 10)
-    assert knapsack_reference(inst)[0] == 10
+    assert knapsack_reference(inst) == 10
 
 
 class TestPairedRandom:
@@ -78,11 +80,10 @@ class TestPairedRandom:
                     assert r.achieved_weight <= inst.capacity
                     assert r.achieved_profit >= inst.target
             if n <= 10:
-                best_p, lex_witness = knapsack_reference(inst)
+                best_p = knapsack_reference(inst)
                 assert results[0].feasible == (best_p >= inst.target)
                 if results[0].feasible:
                     assert results[0].achieved_profit == best_p
-                    assert results[0].chosen == lex_witness
 
     def test_big_values_brute_vs_mim(self):
         rng = random.Random(77)
@@ -105,14 +106,17 @@ class TestDeterminism:
             second = solver(inst)
             assert first == second
 
-    def test_brute_lex_tie_break(self):
+    def test_brute_smallest_mask_tie_break(self):
         inst = KnapsackInstance((Item(1, 5), Item(1, 5)), 1, 5)
         assert solve_brute_force(inst).chosen == frozenset({0})
         inst = KnapsackInstance((Item(1, 5), Item(2, 5)), 2, 5)
         assert solve_brute_force(inst).chosen == frozenset({0})
-        # a proper prefix is lexicographically smaller: empty set beats {0}
+        # the empty set is mask 0
         inst = KnapsackInstance((Item(1, 0),), 1, 0)
         assert solve_brute_force(inst).chosen == frozenset()
+        # {1, 2} is mask 6 and {0, 3} mask 9, though (0, 3) < (1, 2)
+        inst = KnapsackInstance(tuple(Item(v, v) for v in (1, 2, 3, 4)), 5, 5)
+        assert solve_brute_force(inst).chosen == frozenset({1, 2})
 
     def test_mim_tie_break(self):
         # item 0 starts the prefix front, item 1 the suffix front; the lightest
@@ -130,10 +134,22 @@ class TestGuards:
         with pytest.raises(GuardError):
             solve_brute_force(KnapsackInstance(items, 1, 1))
 
-    def test_mim_limit(self):
-        items = tuple(Item(1, 1) for _ in range(MEET_IN_MIDDLE_LIMIT + 1))
-        with pytest.raises(GuardError):
-            solve_meet_in_middle(KnapsackInstance(items, 1, 1))
+    def test_mim_entry_budget(self, monkeypatch):
+        # 12 doubling items: each side extends six times, reading 2**k and
+        # keeping 2**(k+1) entries, so 2 * 3 * (2**6 - 1) = 378 in all
+        inst = KnapsackInstance(_doubling_items(12), 2**12, 2**12 - 1)
+        monkeypatch.setattr(solvers, "MEET_IN_MIDDLE_BUDGET", 378)
+        assert solve_meet_in_middle(inst).feasible
+        monkeypatch.setattr(solvers, "MEET_IN_MIDDLE_BUDGET", 377)
+        with pytest.raises(GuardError) as exc:
+            solve_meet_in_middle(inst)
+        assert exc.value.code == "solve.mim"
+
+    def test_mim_many_cheap_items(self):
+        # the budget counts front entries, not items: equal items keep tiny fronts
+        items = tuple(Item(1, 1) for _ in range(200))
+        res = solve_meet_in_middle(KnapsackInstance(items, 100, 100))
+        assert res.feasible and len(res.chosen) == 100
 
     def test_dp_capacity_limit(self):
         inst = KnapsackInstance((Item(1, 1),), DP_CAPACITY_LIMIT + 1, 1)
@@ -141,12 +157,10 @@ class TestGuards:
             solve_dp_by_weight(inst)
 
     def test_pick_oracle(self):
-        assert pick_oracle(KnapsackInstance((), 0, 0))[0] == "brute"
-        items = tuple(Item(1, 1) for _ in range(30))
-        assert pick_oracle(KnapsackInstance(items, 1, 1))[0] == "mim"
-        items = tuple(Item(1, 1) for _ in range(49))
-        with pytest.raises(GuardError):
-            pick_oracle(KnapsackInstance(items, 1, 1))
+        assert pick_oracle(KnapsackInstance((), 0, 0))[0] == "mim"
+        composed = compose([gen_rss(1, s, False) for s in range(16)])
+        assert len(composed.knapsack.items) == 78
+        assert pick_oracle(composed.knapsack)[0] == "mim"
 
 
 class TestComposedInstances:
@@ -180,6 +194,27 @@ class TestComposedInstances:
                 assert comp.knapsack.subset_profit(res.chosen) == res.achieved_profit
                 assert res.achieved_weight <= comp.constants.capacity
                 assert res.achieved_profit >= comp.constants.target
+
+    def test_pick_oracle_decides_t16(self):
+        no = compose([gen_rss(1, s, False) for s in range(16)]).knapsack
+        _, oracle = pick_oracle(no)
+        assert not oracle(no).feasible
+
+        comp = compose([gen_rss(1, s, s == 3) for s in range(16)])
+        yes = comp.knapsack
+        _, oracle = pick_oracle(yes)
+        res = oracle(yes)
+        assert res.feasible
+        # the maximal witness is the canonical solution of input 3
+        assert res.achieved_weight == yes.capacity
+        assert res.achieved_profit == yes.target
+        assert yes.subset_weight(res.chosen) == res.achieved_weight
+        assert yes.subset_profit(res.chosen) == res.achieved_profit
+        index_items = frozenset(
+            yes.items[i].label for i in res.chosen if isinstance(yes.items[i].label, Index)
+        )
+        assert index_items == index_labels(3, comp.constants.lg_t)
+        assert solve_grouped(group(yes)).feasible
 
 
 _SMALL = st.sampled_from([0, 1, 2, 7])
@@ -220,8 +255,3 @@ def test_mim_matches_brute_force(inst):
         assert inst.subset_profit(got.chosen) == got.achieved_profit
         assert got.achieved_weight <= inst.capacity
 
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 4095), st.integers(0, 4095))
-def test_lex_mask_comparator_matches_tuples(a, b):
-    assert _lex_mask_less(a, b) == (_mask_tuple(a) < _mask_tuple(b))

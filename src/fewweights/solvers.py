@@ -25,7 +25,9 @@ __all__ = [
 
 BRUTE_FORCE_LIMIT = 25
 # front entries meet-in-the-middle may read and keep over all extensions;
-# at most about 3.5 s and 425 MB peak RSS (Python 3.11, 2 vCPUs)
+# 40 items of weight = profit = 2**i stay within it in about 3.5 s at 425 MB
+# peak RSS (Python 3.11, 2 vCPUs); an entry costs more with longer masks and
+# larger values
 MEET_IN_MIDDLE_BUDGET = 2**23
 DP_CAPACITY_LIMIT = 10**7
 

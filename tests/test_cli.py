@@ -315,19 +315,17 @@ class TestKernelize:
         assert set(report) == {"r", "branch", "input_bits", "output_bits"}
         assert isinstance(load_instance(out), KnapsackInstance)
 
-    def test_fallback_guard(self, tmp_path, capsys, monkeypatch):
-        # the solved branch falls back to meet-in-the-middle when the grouped
-        # search runs out of nodes, and reports that oracle's guard
+    def test_grouped_budget_guard(self, tmp_path, capsys, monkeypatch):
+        # the solved branch reports the grouped search's guard when it runs
+        # out of nodes
         import fewweights.kernel as kernel
-        import fewweights.solvers as solvers
 
         monkeypatch.setattr(kernel, "_NODE_BUDGET", 1)
-        monkeypatch.setattr(solvers, "MEET_IN_MIDDLE_BUDGET", 1)
         src = tmp_path / "k.json"
         dump_instance(KnapsackInstance((Item(3, 10),) * 4 + (Item(3, 5),) * 4, 15, 41), src)
         assert main(["kernelize", str(src)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("guard[solve.mim]")
+        assert err.startswith("guard[grouped.budget]")
         assert "Traceback" not in err
 
     def test_stdout_instance(self, tmp_path, capsys):

@@ -28,7 +28,7 @@ from fewweights.kernel import (
     reduce_ilp,
     solve_grouped,
 )
-from fewweights.solvers import solve_brute_force, solve_meet_in_middle
+from fewweights.solvers import solve_meet_in_middle
 
 
 def brute_feasible(inst: KnapsackInstance) -> bool:
@@ -308,39 +308,6 @@ class TestKernelize:
         assert report["branch"] == "reduced"
         assert instance_bits(out) <= instance_bits(inst)
         assert solve_meet_in_middle(out).feasible == solve_meet_in_middle(inst).feasible
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_mim_fallback_when_grouped_budget_runs_out(self, seed, monkeypatch):
-        # one weight and two profits, so r <= 2 and 8-16 items take the solved
-        # branch; every high-profit item fits, but the target needs a low one
-        # too, so the search needs a second node and a budget of one runs
-        # out; even seeds are yes-instances, odd seeds miss the best by one
-        rng = random.Random(31000 + seed)
-        n, w = rng.randint(8, 16), rng.randint(1, 9)
-        low, high = rng.randint(1, 9), rng.randint(10, 19)
-        profits = [high, low, low] + [rng.choice((low, high)) for _ in range(n - 3)]
-        items = tuple(Item(w, p) for p in profits)
-        n_high = profits.count(high)
-        capacity = rng.randint(w * (n_high + 1), w * n)
-        best = n_high * high + min(n - n_high, capacity // w - n_high) * low
-        target = best + 1 if seed % 2 else rng.randint(n_high * high + 1, best)
-        inst = KnapsackInstance(items, capacity, target)
-
-        calls = []
-
-        def spy(i):
-            calls.append(i)
-            return solve_meet_in_middle(i)
-
-        monkeypatch.setattr(kernel, "_NODE_BUDGET", 1)
-        monkeypatch.setattr(kernel, "solve_meet_in_middle", spy)
-        out, report = kernelize_with_report(inst)
-        assert report["branch"] == "solved" and calls == [inst]
-        canonical_yes = KnapsackInstance((Item(1, 1),), 1, 1)
-        canonical_no = KnapsackInstance((), 0, 1)
-        expected = solve_brute_force(inst).feasible
-        assert expected == (seed % 2 == 0)
-        assert out == (canonical_yes if expected else canonical_no)
 
     def test_report_fields(self):
         inst = KnapsackInstance((Item(2, 3),) * 3, 4, 6)

@@ -36,7 +36,6 @@ from .frank_tardos import frank_tardos_reduce
 from .generators import SplitMix64, gen_knapsack, gen_rss, gen_x3c
 from .kernel import (
     GroupedInstance,
-    ReducedILP,
     group,
     ilp_to_knapsack,
     kernelize,

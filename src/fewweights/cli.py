@@ -39,7 +39,7 @@ from .solvers import pick_oracle, solve_brute_force, solve_dp_by_weight, solve_m
 
 __all__ = ["main", "verify_compose"]
 
-_VERIFY_SCALES = {(2, 1), (4, 1), (8, 1), (2, 2), (4, 2)}
+_VERIFY_SCALES = {(2, 1), (4, 1), (8, 1), (2, 2), (4, 2), (8, 2), (4, 3), (8, 3)}
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -87,7 +87,7 @@ def _cmd_compose(args) -> int:
             raise SchemaError("schema.kind", f"{path}: expected an rss instance")
         inputs.append(inst)
     composed = compose(inputs)
-    dump_instance(composed.knapsack, args.out, strip_labels=args.strip_labels)
+    _emit(instance_to_obj(composed.knapsack, strip_labels=args.strip_labels), args.out)
     meta = composition_metadata(composed)
     meta["inputs"] = len(inputs)
     sidecar = Path(args.out).with_suffix(".meta.json")
@@ -102,14 +102,10 @@ def _cmd_kernelize(args) -> int:
     if not isinstance(inst, KnapsackInstance):
         raise SchemaError("schema.kind", f"{args.input}: expected a knapsack instance")
     out, report = kernelize_with_report(inst)
-    if args.out:
-        dump_instance(out, args.out, strip_labels=args.strip_labels)
-        if args.report:
-            print(json.dumps(report))
-    else:
-        _emit(instance_to_obj(out, strip_labels=args.strip_labels), None)
-        if args.report:
-            print(json.dumps(report), file=sys.stderr)
+    _emit(instance_to_obj(out, strip_labels=args.strip_labels), args.out)
+    if args.report:
+        # stdout carries the instance unless it went to a file
+        print(json.dumps(report), file=sys.stdout if args.out else sys.stderr)
     return 0
 
 

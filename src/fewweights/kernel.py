@@ -3,12 +3,13 @@
 An instance with ``w#`` distinct weights and ``p#`` distinct profits is a
 bounded integer program with at most ``w# * p#`` variables: one per
 nonempty (weight, profit) class, counting how many items of that class are
-taken.  When ``r = w# * p#`` is small relative to the item count, the program
-is simply solved and replaced by a constant-size equivalent.  Otherwise the
-coefficient vectors go through the sign-preserving reduction, which never
-grows a row's largest entry, and the program is re-encoded as a knapsack
-instance via binary splitting, giving an output whose size depends only on
-``w# * p#``.
+taken.  ``GroupedInstance`` holds that program on both sides of the
+coefficient reduction.  When ``r = w# * p#`` is small relative to the item
+count, the program is simply solved and replaced by a constant-size
+equivalent.  Otherwise the coefficient rows go through the sign-preserving
+reduction, which never grows a row's largest entry, and the program is
+re-encoded as a knapsack instance via binary splitting, giving an output
+whose size depends only on ``w# * p#``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .solvers import solve_meet_in_middle  # noqa: F401
 
 __all__ = [
     "GroupedInstance",
-    "ReducedILP",
     "group",
     "solve_grouped",
     "reduce_ilp",
@@ -83,27 +83,6 @@ class GroupedInstance:
         return len(self.weights) * len(self.profits)
 
 
-@dataclass(frozen=True)
-class ReducedILP:
-    """The grouped program after coefficient reduction: at most ``w# * p#``
-    variables, one per nonempty class, in the grouped class order."""
-
-    weights: tuple[int, ...]
-    capacity: int
-    profits: tuple[int, ...]
-    target: int
-    bounds: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(w <= 0 for w in self.weights) or any(p <= 0 for p in self.profits):
-            raise InvariantError(
-                "reduced.nonpositive",
-                "reduced per-variable coefficients must be strictly positive",
-            )
-        if self.capacity < 0 or self.target < 0:
-            raise InvariantError("reduced.negative", "reduced bounds must be naturals")
-
-
 def group(inst: KnapsackInstance) -> GroupedInstance:
     """Lossless multiplicity grouping; items of one class are interchangeable
     so feasibility is preserved exactly."""
@@ -126,8 +105,8 @@ def solve_grouped(g: GroupedInstance) -> SolverResult:
     capacity pruning bites early, and counts high-to-low, so the first
     feasible assignment found is deterministic.  A count ``x`` for a class
     takes its first ``x`` items, which gives the witness ``chosen``.  Raises
-    when the class limit or the node budget ``_NODE_BUDGET`` is exceeded;
-    callers fall back to an item-level oracle.
+    ``GuardError`` when the class limit or the node budget ``_NODE_BUDGET``
+    is exceeded.
     """
     if len(g.classes) > GROUPED_CLASS_LIMIT:
         raise GuardError(
@@ -186,7 +165,7 @@ def solve_grouped(g: GroupedInstance) -> SolverResult:
     )
 
 
-def reduce_ilp(g: GroupedInstance) -> ReducedILP:
+def reduce_ilp(g: GroupedInstance) -> GroupedInstance:
     """Reduce the grouped program's two coefficient rows with the
     sign-preserving reduction at norm budget ``item count + 1``; it never
     grows a row, so no coefficient exceeds the largest one of its row.
@@ -194,6 +173,10 @@ def reduce_ilp(g: GroupedInstance) -> ReducedILP:
     Any candidate assignment ``x`` together with a trailing 1 is an integer
     vector of l1-norm at most that budget, so both inequalities keep their
     truth value for every assignment, and the reduced program is equivalent.
+    The difference ``e_i - e_j`` of two unit vectors has l1-norm 2, within
+    the budget, so every strict order and every equality between two
+    coefficients of a row survives: the reduced classes, each keeping its
+    own item indices, are still sorted by (weight, profit) and distinct.
     """
     weights = [w for w, _, _ in g.classes]
     profits = [p for _, p, _ in g.classes]
@@ -206,13 +189,18 @@ def reduce_ilp(g: GroupedInstance) -> ReducedILP:
 
     reduced_w = frank_tardos_reduce(weights + [-g.capacity], budget)
     reduced_p = frank_tardos_reduce([-p for p in profits] + [g.target], budget)
-    new_w = tuple(reduced_w[:-1])
+    new_w = reduced_w[:-1]
     new_cap = -reduced_w[-1]
-    new_p = tuple(-v for v in reduced_p[:-1])
+    new_p = [-v for v in reduced_p[:-1]]
     new_target = reduced_p[-1]
 
-    # equal coefficients stay equal by sign preservation on difference
-    # vectors; positivity is checked by ReducedILP itself
+    # unit vectors are in the budget, so every sign survives, and equal
+    # coefficients stay equal by sign preservation on difference vectors
+    if any(v <= 0 for v in new_w + new_p) or new_cap < 0 or new_target < 0:
+        raise InternalError(
+            "kernel.reduce-sign",
+            "reduced coefficients must be positive and reduced bounds naturals",
+        )
     for original, reduced in ((weights, new_w), (profits, new_p)):
         seen = {}
         for a, v in zip(original, reduced):
@@ -222,13 +210,10 @@ def reduce_ilp(g: GroupedInstance) -> ReducedILP:
                     f"equal coefficients {a} reduced to {seen[a]} and {v}",
                 )
 
-    return ReducedILP(
-        weights=new_w,
-        capacity=new_cap,
-        profits=new_p,
-        target=new_target,
-        bounds=tuple(len(members) for _, _, members in g.classes),
+    classes = tuple(
+        (w, p, members) for w, p, (_, _, members) in zip(new_w, new_p, g.classes)
     )
+    return GroupedInstance(classes, new_cap, new_target)
 
 
 def binary_split(bound: int) -> list[int]:
@@ -246,19 +231,19 @@ def binary_split(bound: int) -> list[int]:
     return coeffs
 
 
-def ilp_to_knapsack(ri: ReducedILP) -> KnapsackInstance:
-    """Re-encode the reduced program as a knapsack instance.
+def ilp_to_knapsack(g: GroupedInstance) -> KnapsackInstance:
+    """Re-encode the (reduced) grouped program as a knapsack instance.
 
-    Each bounded variable ``x`` becomes one item per splitting coefficient
-    ``c``, carrying ``c`` times the variable's weight and profit; within a
-    class any item subset realizes the same multiplier on both sides, so
-    feasibility transfers exactly in both directions.
+    Each class of ``c`` items is a variable bounded by ``c``, and becomes
+    one item per splitting coefficient of ``c``, carrying that multiple of
+    the class's weight and profit; within a class any item subset realizes
+    the same multiplier on both sides, so feasibility transfers exactly in
+    both directions.
     """
-    items = []
-    for w, p, bound in zip(ri.weights, ri.profits, ri.bounds):
-        for c in binary_split(bound):
-            items.append(Item(c * w, c * p))
-    return KnapsackInstance(tuple(items), ri.capacity, ri.target)
+    items = tuple(
+        Item(c * w, c * p) for w, p, members in g.classes for c in binary_split(len(members))
+    )
+    return KnapsackInstance(items, g.capacity, g.target)
 
 
 _CANONICAL_YES = KnapsackInstance((Item(1, 1),), 1, 1)
@@ -288,10 +273,21 @@ def kernelize_with_report(inst: KnapsackInstance):
     collapsed to a canonical constant-size yes or no instance; otherwise the
     grouped program is coefficient-reduced and re-encoded.  A grouped search
     out of nodes raises ``GuardError("grouped.budget")``.
+
+    Zero coefficients leave the program first: every zero-weight class fits
+    whole at no cost, so it is taken and its profit comes off the target,
+    and a zero-profit class never helps, so it is dropped.  ``r`` and ``n``
+    are those of the program that is left.
     """
     g = group(inst)
+    gain = sum(len(members) * p for w, p, members in g.classes if w == 0)
+    g = GroupedInstance(
+        tuple(c for c in g.classes if c[0] > 0 and c[1] > 0),
+        g.capacity,
+        max(0, g.target - gain),
+    )
     r = g.variable_count
-    n = len(inst.items)
+    n = g.item_count
     if r * _lg(r) <= _lg(n):
         out = _CANONICAL_YES if solve_grouped(g).feasible else _CANONICAL_NO
         branch = "solved"

@@ -14,7 +14,8 @@ from fewweights.core import (
     X3CInstance,
 )
 from fewweights.kernel import GROUPED_CLASS_LIMIT
-from fewweights.serialize import dump_instance, load_instance
+from fewweights.serialize import dump_instance, instance_from_obj, load_instance
+from fewweights.solvers import solve_brute_force
 from fewweights.generators import gen_knapsack, gen_rss
 
 
@@ -304,6 +305,25 @@ class TestInternalErrors:
         assert err.startswith("error[kernel.reduce-collapse]")
         assert "Traceback" not in err
 
+    def test_nonpositive_reduction_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a reduction that flips the sign of one reduced weight
+        import fewweights.kernel as kernel
+
+        reduce = kernel.frank_tardos_reduce
+
+        def flipped(vec, budget):
+            out = reduce(vec, budget)
+            out[0] = -out[0]
+            return out
+
+        monkeypatch.setattr(kernel, "frank_tardos_reduce", flipped)
+        src = tmp_path / "k.json"
+        dump_instance(KnapsackInstance((Item(3, 5), Item(3, 7)), 6, 12), src)
+        assert main(["kernelize", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[kernel.reduce-sign]")
+        assert "Traceback" not in err
+
 
 class TestKernelize:
     def test_report_and_output(self, tmp_path, capsys):
@@ -314,6 +334,14 @@ class TestKernelize:
         report = json.loads(capsys.readouterr().out)
         assert set(report) == {"r", "branch", "input_bits", "output_bits"}
         assert isinstance(load_instance(out), KnapsackInstance)
+
+    def test_report_to_stderr_without_out(self, tmp_path, capsys):
+        src = tmp_path / "k.json"
+        dump_instance(gen_knapsack(10, 2, 2, 2**40, 3), src)
+        assert main(["kernelize", str(src), "--report"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["kind"] == "knapsack"
+        assert set(json.loads(captured.err)) == {"r", "branch", "input_bits", "output_bits"}
 
     def test_grouped_budget_guard(self, tmp_path, capsys, monkeypatch):
         # the solved branch reports the grouped search's guard when it runs
@@ -327,6 +355,19 @@ class TestKernelize:
         err = capsys.readouterr().err
         assert err.startswith("guard[grouped.budget]")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("first", [(0, 5), (2, 0)])
+    def test_zero_coefficient_item(self, tmp_path, capsys, first):
+        # feasible by items {0, 2, 3} (or {2, 3}); the zero-weight item is
+        # taken and the zero-profit one dropped before the reduction
+        pairs = [first, (3, 4), (7, 9), (3, 9), (7, 4), (11, 2), (11, 9)]
+        inst = KnapsackInstance(tuple(Item(w, p) for w, p in pairs), 10, 14)
+        src = tmp_path / "k.json"
+        dump_instance(inst, src)
+        assert main(["kernelize", str(src)]) == 0
+        out = instance_from_obj(json.loads(capsys.readouterr().out))
+        assert solve_brute_force(inst).feasible
+        assert solve_brute_force(out).feasible
 
     def test_stdout_instance(self, tmp_path, capsys):
         src = tmp_path / "k.json"
@@ -350,6 +391,12 @@ class TestVerify:
         ok, rows, failures = verify_compose(2, 2, 0, 7, log=lambda *_: None)
         assert ok and not failures
         assert len(rows) == 3  # all-no plus the two single-yes patterns
+
+    @pytest.mark.parametrize("t, n", [(8, 2), (4, 3), (8, 3)])
+    def test_verify_compose_wider_scales(self, t, n):
+        ok, rows, failures = verify_compose(t, n, 0, 1, log=lambda *_: None)
+        assert ok and not failures
+        assert len(rows) == t + 1  # all-no plus every single-yes pattern
 
     def test_witness_must_hit_capacity(self, monkeypatch):
         # right verdicts and index items, but a witness one short of capacity

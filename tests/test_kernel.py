@@ -8,6 +8,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fewweights
 import fewweights.kernel as kernel
@@ -18,7 +20,6 @@ from fewweights.core import GuardError, InvariantError, Item, KnapsackInstance
 from fewweights.generators import gen_knapsack, gen_rss
 from fewweights.kernel import (
     GroupedInstance,
-    ReducedILP,
     binary_split,
     group,
     ilp_to_knapsack,
@@ -28,7 +29,7 @@ from fewweights.kernel import (
     reduce_ilp,
     solve_grouped,
 )
-from fewweights.solvers import solve_meet_in_middle
+from fewweights.solvers import solve_brute_force, solve_meet_in_middle
 
 
 def brute_feasible(inst: KnapsackInstance) -> bool:
@@ -49,14 +50,13 @@ def make_grouped(weights, profits, counts, capacity, target) -> GroupedInstance:
 
 
 def grouped_reference(g: GroupedInstance) -> bool:
-    w_flat = [w for w in g.weights for _ in g.profits]
-    p_flat = [p for _ in g.weights for p in g.profits]
-    bounds = [c for row in g.counts for c in row]
-    return ilp_reference(w_flat, p_flat, bounds, g.capacity, g.target)
-
-
-def reduced_reference(ri: ReducedILP) -> bool:
-    return ilp_reference(ri.weights, ri.profits, ri.bounds, ri.capacity, ri.target)
+    return ilp_reference(
+        [w for w, _, _ in g.classes],
+        [p for _, p, _ in g.classes],
+        [len(members) for _, _, members in g.classes],
+        g.capacity,
+        g.target,
+    )
 
 
 class TestGroup:
@@ -148,13 +148,14 @@ class TestReduceIlp:
     def test_tight_instance_keeps_equality(self):
         g = make_grouped((10**9,), (10**9,), ((1,),), 10**9, 10**9)
         ri = reduce_ilp(g)
-        assert ri.weights[0] == ri.capacity
-        assert ri.profits[0] == ri.target
-        assert reduced_reference(ri)
+        ((w, p, _),) = ri.classes
+        assert w == ri.capacity
+        assert p == ri.target
+        assert grouped_reference(ri)
 
     def test_infeasible_single_item(self):
         g = group(KnapsackInstance((Item(2, 3),), 5, 6))
-        assert not reduced_reference(reduce_ilp(g))
+        assert not grouped_reference(reduce_ilp(g))
 
     def test_zero_weight_rejected(self):
         g = group(KnapsackInstance((Item(0, 3),), 5, 3))
@@ -172,11 +173,12 @@ class TestReduceIlp:
         if g.variable_count > 4:
             pytest.skip("keep the assignment enumeration tiny")
         ri = reduce_ilp(g)
-        assert grouped_reference(g) == reduced_reference(ri)
-
-    def test_reduced_ilp_validates(self):
-        with pytest.raises(InvariantError):
-            ReducedILP((0,), 1, (1,), 1, (1,))
+        assert grouped_reference(g) == grouped_reference(ri)
+        # each class keeps its own item tuple, and order and distinctness
+        # survive sign preservation on difference vectors
+        assert all(a[2] is b[2] for a, b in zip(g.classes, ri.classes))
+        pairs = [(w, p) for w, p, _ in ri.classes]
+        assert pairs == sorted(set(pairs))
 
     def test_collapse_check_survives_optimize(self):
         # a reduction that splits two equal weights must be refused even
@@ -229,7 +231,7 @@ class TestBinarySplit:
 
 class TestIlpToKnapsack:
     def test_item_counts_follow_split(self):
-        ri = ReducedILP((3,), 10, (2,), 4, (5,))
+        ri = GroupedInstance(((3, 2, tuple(range(5))),), 10, 4)
         out = ilp_to_knapsack(ri)
         assert [(it.weight, it.profit) for it in out.items] == [
             (3, 2), (6, 4), (6, 4),
@@ -240,16 +242,19 @@ class TestIlpToKnapsack:
     def test_equivalent_to_reduced_program(self, seed):
         rng = random.Random(seed)
         vars_ = rng.randrange(1, 4)
-        ri = ReducedILP(
-            tuple(rng.randrange(1, 20) for _ in range(vars_)),
-            rng.randrange(0, 60),
-            tuple(rng.randrange(1, 20) for _ in range(vars_)),
-            rng.randrange(0, 60),
-            tuple(rng.randrange(0, 5) for _ in range(vars_)),
-        )
+        weights = [rng.randrange(1, 20) for _ in range(vars_)]
+        capacity = rng.randrange(0, 60)
+        profits = [rng.randrange(1, 20) for _ in range(vars_)]
+        target = rng.randrange(0, 60)
+        sizes = [rng.randrange(0, 5) for _ in range(vars_)]
+        classes, start = [], 0
+        for w, p, c in zip(weights, profits, sizes):
+            classes.append((w, p, tuple(range(start, start + c))))
+            start += c
+        ri = GroupedInstance(tuple(classes), capacity, target)
         out = ilp_to_knapsack(ri)
         assert len(out.items) <= 3 * vars_
-        assert brute_feasible(out) == reduced_reference(ri)
+        assert brute_feasible(out) == grouped_reference(ri)
 
 
 class TestKernelize:
@@ -308,6 +313,19 @@ class TestKernelize:
         assert report["branch"] == "reduced"
         assert instance_bits(out) <= instance_bits(inst)
         assert solve_meet_in_middle(out).feasible == solve_meet_in_middle(inst).feasible
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=12),
+        st.integers(0, 40),
+        st.integers(0, 40),
+    )
+    def test_zero_coefficients_against_brute_force(self, pairs, capacity, target):
+        # zero-weight items are taken and zero-profit items dropped before
+        # the branch is chosen, so neither reaches the coefficient reduction
+        inst = KnapsackInstance(tuple(Item(w, p) for w, p in pairs), capacity, target)
+        out = kernelize(inst)
+        assert solve_brute_force(out).feasible == solve_brute_force(inst).feasible
 
     def test_report_fields(self):
         inst = KnapsackInstance((Item(2, 3),) * 3, 4, 6)

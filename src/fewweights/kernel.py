@@ -4,12 +4,13 @@ An instance with ``w#`` distinct weights and ``p#`` distinct profits is a
 bounded integer program with at most ``w# * p#`` variables: one per
 nonempty (weight, profit) class, counting how many items of that class are
 taken.  ``GroupedInstance`` holds that program on both sides of the
-coefficient reduction.  When ``r = w# * p#`` is small relative to the item
-count, the program is simply solved and replaced by a constant-size
-equivalent.  Otherwise the coefficient rows go through the sign-preserving
-reduction, which never grows a row's largest entry, and the program is
-re-encoded as a knapsack instance via binary splitting, giving an output
-whose size depends only on ``w# * p#``.
+coefficient reduction, and binary splitting re-encodes it exactly as a
+knapsack instance.  When ``r = w# * p#`` is small relative to the item
+count, the program is solved outright, by meet-in-the-middle on that
+re-encoding, and replaced by a constant-size equivalent.  Otherwise the
+coefficient rows go through the sign-preserving reduction, which never
+grows a row's largest entry, before the re-encoding, giving an output whose
+size depends only on ``w# * p#``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .core import (
-    GuardError,
     InternalError,
     InvariantError,
     Item,
@@ -26,8 +26,7 @@ from .core import (
     SolverResult,
 )
 from .frank_tardos import frank_tardos_reduce
-# not called here: the benchmark's span tracer wraps kernel.solve_meet_in_middle
-from .solvers import solve_meet_in_middle  # noqa: F401
+from .solvers import solve_meet_in_middle
 
 __all__ = [
     "GroupedInstance",
@@ -39,13 +38,7 @@ __all__ = [
     "kernelize",
     "kernelize_with_report",
     "instance_bits",
-    "GROUPED_CLASS_LIMIT",
 ]
-
-_NODE_BUDGET = 5_000_000
-# the search recurses once per class, so this keeps it inside the
-# interpreter's default recursion limit of 1000 frames
-GROUPED_CLASS_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -98,70 +91,31 @@ def group(inst: KnapsackInstance) -> GroupedInstance:
 
 
 def solve_grouped(g: GroupedInstance) -> SolverResult:
-    """Exact feasibility of the grouped program by depth-first search with
-    weight and optimistic-profit pruning.
+    """Exact feasibility of the grouped program: meet-in-the-middle on its
+    binary-split re-encoding ``ilp_to_knapsack(g)``.
 
-    Classes are visited heaviest-first (ties broken by higher profit) so
-    capacity pruning bites early, and counts high-to-low, so the first
-    feasible assignment found is deterministic.  A count ``x`` for a class
-    takes its first ``x`` items, which gives the witness ``chosen``.  Raises
-    ``GuardError`` when the class limit or the node budget ``_NODE_BUDGET``
-    is exceeded.
+    A class's count ``x`` is the sum of its chosen splitting coefficients,
+    and the witness ``chosen`` takes the class's first ``x`` items, so it has
+    the weight and profit of the re-encoded witness.  Meet-in-the-middle's
+    entry budget is the only cost guard (``GuardError("solve.mim")``).
     """
-    if len(g.classes) > GROUPED_CLASS_LIMIT:
-        raise GuardError(
-            "solve.grouped",
-            f"{len(g.classes)} classes exceed limit {GROUPED_CLASS_LIMIT}",
-        )
-    classes = g.classes[::-1]
-    m = len(classes)
-    capacity, target = g.capacity, g.target
-
-    suffix_profit = [0] * (m + 1)
-    for k in range(m - 1, -1, -1):
-        _, p, members = classes[k]
-        suffix_profit[k] = suffix_profit[k + 1] + len(members) * p
-
-    taken = [0] * m
-    nodes = 0
-
-    def walk(k: int, weight: int, profit: int) -> bool:
-        # on success taken[k:] is all zero: every deeper level resets its count
-        nonlocal nodes
-        if profit >= target:
-            return True
-        if k == m or profit + suffix_profit[k] < target:
-            return False
-        w, p, members = classes[k]
-        top = len(members)
-        if w > 0:
-            top = min(top, (capacity - weight) // w)
-        for x in range(top, -1, -1):
-            nodes += 1
-            if nodes > _NODE_BUDGET:
-                raise GuardError("grouped.budget", f"exceeded {_NODE_BUDGET} nodes")
-            taken[k] = x
-            if walk(k + 1, weight + x * w, profit + x * p):
-                return True
-        taken[k] = 0
-        return False
-
-    if not walk(0, 0, 0):
-        return SolverResult(feasible=False)
-    achieved_w = sum(x * w for x, (w, _, _) in zip(taken, classes))
-    achieved_p = sum(x * p for x, (_, p, _) in zip(taken, classes))
-    if achieved_w > capacity or achieved_p < target:
-        raise InternalError(
-            "grouped.witness",
-            f"witness has weight {achieved_w} > {capacity} or profit {achieved_p} < {target}",
-        )
+    res = solve_meet_in_middle(ilp_to_knapsack(g))
+    if not res.feasible:
+        return res
+    chosen = []
+    k = 0
+    for _, _, members in g.classes:
+        x = 0
+        for c in binary_split(len(members)):
+            if k in res.chosen:
+                x += c
+            k += 1
+        chosen.extend(members[:x])
     return SolverResult(
         feasible=True,
-        chosen=frozenset(
-            i for x, (_, _, members) in zip(taken, classes) for i in members[:x]
-        ),
-        achieved_weight=achieved_w,
-        achieved_profit=achieved_p,
+        chosen=frozenset(chosen),
+        achieved_weight=res.achieved_weight,
+        achieved_profit=res.achieved_profit,
     )
 
 
@@ -250,16 +204,12 @@ _CANONICAL_YES = KnapsackInstance((Item(1, 1),), 1, 1)
 _CANONICAL_NO = KnapsackInstance((), 0, 1)
 
 
-def _lg(x: int) -> int:
-    return x.bit_length() if x > 0 else 0
-
-
 def instance_bits(inst: KnapsackInstance) -> int:
     """Total encoding size: bit lengths of every number in the instance,
     counting value 0 as one bit."""
-    total = max(1, _lg(inst.capacity)) + max(1, _lg(inst.target))
+    total = max(1, inst.capacity.bit_length()) + max(1, inst.target.bit_length())
     for it in inst.items:
-        total += max(1, _lg(it.weight)) + max(1, _lg(it.profit))
+        total += max(1, it.weight.bit_length()) + max(1, it.profit.bit_length())
     return total
 
 
@@ -271,8 +221,8 @@ def kernelize_with_report(inst: KnapsackInstance):
     When ``r = w# * p#`` is small against the item count (``r lg r <= lg n``
     on bit lengths, ties solving), the instance is solved outright and
     collapsed to a canonical constant-size yes or no instance; otherwise the
-    grouped program is coefficient-reduced and re-encoded.  A grouped search
-    out of nodes raises ``GuardError("grouped.budget")``.
+    grouped program is coefficient-reduced and re-encoded.  A solve over
+    meet-in-the-middle's entry budget raises ``GuardError("solve.mim")``.
 
     Zero coefficients leave the program first: every zero-weight class fits
     whole at no cost, so it is taken and its profit comes off the target,
@@ -288,7 +238,7 @@ def kernelize_with_report(inst: KnapsackInstance):
     )
     r = g.variable_count
     n = g.item_count
-    if r * _lg(r) <= _lg(n):
+    if r * r.bit_length() <= n.bit_length():
         out = _CANONICAL_YES if solve_grouped(g).feasible else _CANONICAL_NO
         branch = "solved"
     else:

@@ -67,22 +67,12 @@ def solve_brute_force(inst: KnapsackInstance) -> SolverResult:
         raise GuardError("solve.brute", f"{n} items exceed limit {BRUTE_FORCE_LIMIT}")
     low_n = min(n, _CHUNK_BITS)
     low_ws, low_ps = _mask_sums(inst.items[:low_n])
-    high_items = inst.items[low_n:]
+    high_ws, high_ps = _mask_sums(inst.items[low_n:])
     capacity = inst.capacity
 
     best_p = -1
     best_mask = 0
-    for high_mask in range(1 << len(high_items)):
-        base_w = 0
-        base_p = 0
-        m = high_mask
-        pos = 0
-        while m:
-            if m & 1:
-                base_w += high_items[pos].weight
-                base_p += high_items[pos].profit
-            m >>= 1
-            pos += 1
+    for high_mask, (base_w, base_p) in enumerate(zip(high_ws, high_ps)):
         if base_w > capacity:
             continue
         rem = capacity - base_w
@@ -97,10 +87,11 @@ def solve_brute_force(inst: KnapsackInstance) -> SolverResult:
     # the empty subset always fits, so a maximum exists
     if best_p < inst.target:
         return SolverResult(feasible=False)
+    chosen = _mask_indices(best_mask)
     return SolverResult(
         feasible=True,
-        chosen=_mask_indices(best_mask),
-        achieved_weight=inst.subset_weight(_mask_indices(best_mask)),
+        chosen=chosen,
+        achieved_weight=inst.subset_weight(chosen),
         achieved_profit=best_p,
     )
 

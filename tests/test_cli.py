@@ -13,7 +13,6 @@ from fewweights.core import (
     RestrictedSubsetSumInstance,
     X3CInstance,
 )
-from fewweights.kernel import GROUPED_CLASS_LIMIT
 from fewweights.serialize import dump_instance, instance_from_obj, load_instance
 from fewweights.solvers import solve_brute_force
 from fewweights.generators import gen_knapsack, gen_rss
@@ -154,24 +153,18 @@ class TestSolve:
         self._assert_valid_witness(inst, capsys.readouterr().out)
 
     def test_grouped_t16_composed_yes_instance(self, tmp_path, capsys):
-        # 78 items, r = w# * p# = 2584, but only 76 nonempty classes
-        inst = compose([gen_rss(1, s, s == 3) for s in range(16)]).knapsack
-        src = tmp_path / "c16.json"
-        dump_instance(inst, src)
-        assert main(["solve", str(src), "--method", "grouped-bb", "--witness"]) == 0
-        self._assert_valid_witness(inst, capsys.readouterr().out)
-
-    def test_grouped_class_guard(self, tmp_path, capsys):
-        inst = KnapsackInstance(tuple(Item(w, 1) for w in range(1, 1201)), 10, 5)
-        src = tmp_path / "distinct.json"
-        dump_instance(inst, src)
-        assert main(["solve", str(src), "--method", "grouped-bb"]) == 3
-        assert capsys.readouterr().err.startswith("guard[solve.grouped]")
+        # 78 items, r = w# * p# = 2584, but only 76 nonempty classes; the
+        # yes-input is an early one or the last one
+        for yes in (3, 15):
+            inst = compose([gen_rss(1, s, s == yes) for s in range(16)]).knapsack
+            src = tmp_path / "c16.json"
+            dump_instance(inst, src)
+            assert main(["solve", str(src), "--method", "grouped-bb", "--witness"]) == 0
+            self._assert_valid_witness(inst, capsys.readouterr().out)
 
     def test_grouped_at_class_limit(self, tmp_path, capsys):
-        # the search recurses once per class; at the limit it must still fit
-        # the stack with every class taken
-        n = GROUPED_CLASS_LIMIT
+        # 512 classes, each with one item, and every class taken
+        n = 512
         inst = KnapsackInstance(tuple(Item(w, 1) for w in range(1, n + 1)), n * n, n)
         src = tmp_path / "limit.json"
         dump_instance(inst, src)
@@ -344,16 +337,16 @@ class TestKernelize:
         assert set(json.loads(captured.err)) == {"r", "branch", "input_bits", "output_bits"}
 
     def test_grouped_budget_guard(self, tmp_path, capsys, monkeypatch):
-        # the solved branch reports the grouped search's guard when it runs
-        # out of nodes
-        import fewweights.kernel as kernel
+        # the solved branch reports meet-in-the-middle's guard when the
+        # grouped solve runs out of front entries
+        import fewweights.solvers as solvers
 
-        monkeypatch.setattr(kernel, "_NODE_BUDGET", 1)
+        monkeypatch.setattr(solvers, "MEET_IN_MIDDLE_BUDGET", 1)
         src = tmp_path / "k.json"
         dump_instance(KnapsackInstance((Item(3, 10),) * 4 + (Item(3, 5),) * 4, 15, 41), src)
         assert main(["kernelize", str(src)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("guard[grouped.budget]")
+        assert err.startswith("guard[solve.mim]")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("first", [(0, 5), (2, 0)])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import fewweights
 import fewweights.kernel as kernel
+import fewweights.solvers as solvers
 
 from conftest import ilp_reference, knapsack_reference
 from fewweights.composition import compose
@@ -107,15 +108,23 @@ class TestSolveGrouped:
             assert inst.subset_weight(res.chosen) == res.achieved_weight <= inst.capacity
             assert inst.subset_profit(res.chosen) == res.achieved_profit >= inst.target
 
-    @pytest.mark.parametrize("seed", range(60))
+    @pytest.mark.parametrize("seed", range(100))
     def test_matches_assignment_enumeration(self, seed):
+        # seeds from 60 on draw multiplicities of 8-10, which split into
+        # several coefficients, and zero-weight or zero-profit classes
         rng = random.Random(seed)
+        wide = seed >= 60
         w_count = rng.randrange(1, 3)
         p_count = rng.randrange(1, 3)
         weights = sorted(rng.sample(range(1, 30), w_count))
         profits = sorted(rng.sample(range(1, 30), p_count))
+        if wide and seed % 3 == 0:
+            weights[0] = 0
+        if wide and seed % 3 == 1:
+            profits[0] = 0
         counts = tuple(
-            tuple(rng.randrange(0, 4) for _ in profits) for _ in weights
+            tuple(rng.choice((0, 8, 9, 10)) if wide else rng.randrange(0, 4) for _ in profits)
+            for _ in weights
         )
         total_w = sum(
             c * w for row, w in zip(counts, weights) for c in row
@@ -133,15 +142,16 @@ class TestSolveGrouped:
         assert solve_grouped(g).feasible == grouped_reference(g)
 
     def test_budget_guard(self, monkeypatch):
-        # capacity-bound infeasibility defeats the optimistic-profit prune,
-        # so the search has to churn through assignments
+        # the re-encoding's 16 items need more front entries than a budget
+        # of 10, and meet-in-the-middle's guard is the grouped solve's guard
         g = make_grouped(
             (10, 11), (10, 11), ((10, 10), (10, 10)), 100, 111
         )
         assert not solve_grouped(g).feasible
-        monkeypatch.setattr(kernel, "_NODE_BUDGET", 10)
-        with pytest.raises(GuardError):
+        monkeypatch.setattr(solvers, "MEET_IN_MIDDLE_BUDGET", 10)
+        with pytest.raises(GuardError) as exc:
             solve_grouped(g)
+        assert exc.value.code == "solve.mim"
 
 
 class TestReduceIlp:
@@ -281,6 +291,28 @@ class TestKernelize:
     def test_empty_instance(self):
         out = kernelize(KnapsackInstance((), 0, 0))
         assert brute_feasible(out)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 1), (1, 4)])
+    def test_solved_branch_at_r4(self, shape, seed, monkeypatch):
+        # 4096 items with r = 4 take the solved branch; every yes-witness of
+        # the grouped solve must fit the capacity and reach the target
+        inst = gen_knapsack(4096, *shape, 2**64, seed)
+        results = []
+
+        def recording(g):
+            res = solve_grouped(g)
+            results.append((g, res))
+            return res
+
+        monkeypatch.setattr(kernel, "solve_grouped", recording)
+        _, report = kernelize_with_report(inst)
+        assert report["branch"] == "solved" and report["r"] == 4
+        ((g, res),) = results
+        if res.feasible:
+            weight, profit = inst.subset_weight(res.chosen), inst.subset_profit(res.chosen)
+            assert (weight, profit) == (res.achieved_weight, res.achieved_profit)
+            assert weight <= g.capacity and profit >= g.target
 
     @pytest.mark.parametrize("seed", range(120))
     def test_preserves_verdict_random(self, seed):

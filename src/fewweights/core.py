@@ -105,21 +105,25 @@ Label = Encoding | Quadratization | Index  # None means a plain, unlabeled item
 # Problem instances
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Item:
     weight: int
     profit: int
     label: Label | None = None
 
     def __post_init__(self):
-        if not isinstance(self.weight, int) or isinstance(self.weight, bool):
+        # ``type(x) is int`` settles almost every item; the isinstance test
+        # still admits int subclasses other than bool
+        w = self.weight
+        if type(w) is not int and (not isinstance(w, int) or isinstance(w, bool)):
             raise InvariantError("item.weight", "item weight must be an int")
-        if not isinstance(self.profit, int) or isinstance(self.profit, bool):
+        p = self.profit
+        if type(p) is not int and (not isinstance(p, int) or isinstance(p, bool)):
             raise InvariantError("item.profit", "item profit must be an int")
-        if self.weight < 0:
-            raise InvariantError("item.weight", f"negative weight {self.weight}")
-        if self.profit < 0:
-            raise InvariantError("item.profit", f"negative profit {self.profit}")
+        if w < 0:
+            raise InvariantError("item.weight", f"negative weight {w}")
+        if p < 0:
+            raise InvariantError("item.profit", f"negative profit {p}")
 
 
 @dataclass(frozen=True)

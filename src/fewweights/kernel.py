@@ -207,9 +207,9 @@ _CANONICAL_NO = KnapsackInstance((), 0, 1)
 def instance_bits(inst: KnapsackInstance) -> int:
     """Total encoding size: bit lengths of every number in the instance,
     counting value 0 as one bit."""
-    total = max(1, inst.capacity.bit_length()) + max(1, inst.target.bit_length())
+    total = (inst.capacity.bit_length() or 1) + (inst.target.bit_length() or 1)
     for it in inst.items:
-        total += max(1, it.weight.bit_length()) + max(1, it.profit.bit_length())
+        total += (it.weight.bit_length() or 1) + (it.profit.bit_length() or 1)
     return total
 
 

@@ -1,16 +1,16 @@
 """JSON wire formats for problem instances.
 
 Every big integer travels as a decimal string so that values far beyond 64
-bits survive any JSON implementation unharmed.  Schema violations raise
-:class:`SchemaError`; values that parse but break a type invariant raise
-:class:`InvariantError` (from the type constructors), so the two failure
-classes stay distinguishable by error code.
+bits survive any JSON implementation unharmed: ASCII digits with no sign and
+no leading zero (``"0"`` itself excepted), within the interpreter's int/str
+digit limit.  Schema violations raise :class:`SchemaError`; values that parse
+but break a type invariant raise :class:`InvariantError` (from the type
+constructors), so the two failure classes stay distinguishable by error code.
 """
 
 from __future__ import annotations
 
 import json
-import re
 
 from .core import (
     Encoding,
@@ -40,20 +40,31 @@ __all__ = [
     "load_instance",
 ]
 
-_DECIMAL = re.compile(r"(0|[1-9][0-9]*)\Z")
-
-
 def _encode_nat(v: int) -> str:
     return str(v)
 
 
 def _decode_nat(field: str, v) -> int:
-    if not isinstance(v, str) or not _DECIMAL.match(v):
+    # ASCII digits are exactly 0-9, so this is the grammar 0|[1-9][0-9]*
+    if not (isinstance(v, str) and v.isascii() and v.isdigit() and (len(v) == 1 or v[0] != "0")):
         raise SchemaError("schema.decimal", f"{field}: expected decimal string, got {v!r}")
     try:
         return int(v)
     except ValueError as exc:  # e.g. the interpreter's int/str digit limit
         raise SchemaError("schema.decimal", f"{field}: {exc}") from None
+
+
+def _nat(obj: dict, field: str) -> int:
+    """``_decode_nat(field, _expect(obj, field, str))``, with the test for a
+    well-formed value done inline: a large instance reads thousands of these.
+    A value that fails it takes the slow path, which raises the error."""
+    v = obj.get(field)
+    if type(v) is str and v.isascii() and v.isdigit() and (len(v) == 1 or v[0] != "0"):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    return _decode_nat(field, _expect(obj, field, str))
 
 
 def _expect(obj, field: str, types):
@@ -130,17 +141,9 @@ def knapsack_from_obj(obj) -> KnapsackInstance:
         if not isinstance(entry, dict):
             raise SchemaError("schema.item", "item must be an object")
         items.append(
-            Item(
-                _decode_nat("weight", _expect(entry, "weight", str)),
-                _decode_nat("profit", _expect(entry, "profit", str)),
-                _label_from_obj(entry.get("label")),
-            )
+            Item(_nat(entry, "weight"), _nat(entry, "profit"), _label_from_obj(entry.get("label")))
         )
-    return KnapsackInstance(
-        tuple(items),
-        _decode_nat("capacity", _expect(obj, "capacity", str)),
-        _decode_nat("target", _expect(obj, "target", str)),
-    )
+    return KnapsackInstance(tuple(items), _nat(obj, "capacity"), _nat(obj, "target"))
 
 
 def rss_to_obj(inst: RestrictedSubsetSumInstance) -> dict:
@@ -189,7 +192,7 @@ def subset_sum_from_obj(obj) -> SubsetSumInstance:
     if not isinstance(obj, dict):
         raise SchemaError("schema.object", "instance must be a JSON object")
     numbers = [_decode_nat("numbers", v) for v in _expect(obj, "numbers", list)]
-    return SubsetSumInstance(tuple(numbers), _decode_nat("target", _expect(obj, "target", str)))
+    return SubsetSumInstance(tuple(numbers), _nat(obj, "target"))
 
 
 _TO_OBJ = {

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+import re
 import sys
 import tracemalloc
+from enum import IntEnum
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -153,6 +156,41 @@ class TestTypes:
         with pytest.raises(InvariantError):
             Item(0, -1)
 
+    def test_item_is_frozen(self):
+        it = Item(1, 2)
+        for field in ("weight", "profit", "label"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(it, field, 3)
+        assert it == Item(1, 2)
+
+    def test_item_equality_and_hash(self):
+        assert Item(1, 2) == Item(1, 2)
+        assert hash(Item(1, 2)) == hash(Item(1, 2))
+        assert Item(1, 2) != (1, 2, None)
+        assert Item(1, 2) != Item(1, 2, Encoding(0, 1))
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None, -1])
+    def test_item_rejects_each_field_with_its_code(self, bad):
+        with pytest.raises(InvariantError) as err:
+            Item(bad, 0)
+        assert err.value.code == "item.weight"
+        with pytest.raises(InvariantError) as err:
+            Item(0, bad)
+        assert err.value.code == "item.profit"
+
+    def test_item_checks_both_types_before_signs(self):
+        with pytest.raises(InvariantError) as err:
+            Item(-1, True)
+        assert err.value.code == "item.profit"
+
+    def test_item_accepts_int_subclasses_other_than_bool(self):
+        class Size(IntEnum):
+            ONE = 1
+
+        it = Item(Size.ONE, Size.ONE)
+        assert (it.weight, it.profit) == (1, 1)
+        assert it == Item(1, 1)
+
     def test_knapsack_rejects_negative_bounds(self):
         with pytest.raises(InvariantError):
             KnapsackInstance((), -1, 0)
@@ -206,6 +244,80 @@ class TestTypes:
         with pytest.raises(InvariantError) as err:
             X3CInstance(2, triples)
         assert err.value.code == "x3c.multiplicity"
+
+
+# Reference grammar of a decimal natural on the wire.
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")
+_MISSING = object()
+
+
+def _with(obj: dict, field: str, v) -> dict:
+    if v is not _MISSING:
+        obj[field] = v
+    return obj
+
+
+# Each site builds a document with ``v`` in one numeric position and reads
+# the decoded value back from the loaded instance.
+_FIELD_SITES = {
+    "weight": (
+        lambda v: {
+            "kind": "knapsack",
+            "items": [_with({"profit": "1"}, "weight", v)],
+            "capacity": "1",
+            "target": "1",
+        },
+        lambda inst: inst.items[0].weight,
+    ),
+    "profit": (
+        lambda v: {
+            "kind": "knapsack",
+            "items": [_with({"weight": "1"}, "profit", v)],
+            "capacity": "1",
+            "target": "1",
+        },
+        lambda inst: inst.items[0].profit,
+    ),
+    "capacity": (
+        lambda v: _with({"kind": "knapsack", "items": [], "target": "1"}, "capacity", v),
+        lambda inst: inst.capacity,
+    ),
+    "target": (
+        lambda v: _with({"kind": "knapsack", "items": [], "capacity": "1"}, "target", v),
+        lambda inst: inst.target,
+    ),
+    "subsetsum target": (
+        lambda v: _with({"kind": "subsetsum", "numbers": []}, "target", v),
+        lambda inst: inst.target,
+    ),
+}
+_LIST_SITES = {
+    "rss numbers": (
+        lambda v: {"kind": "rss", "n": 1, "numbers": [v, "84", "84"]},
+        lambda inst: inst.numbers[0],
+    ),
+    "subsetsum numbers": (
+        lambda v: {"kind": "subsetsum", "numbers": [v], "target": "0"},
+        lambda inst: inst.numbers[0],
+    ),
+}
+_SITES = {**_FIELD_SITES, **_LIST_SITES}
+
+
+def _check_decimal(make, read, s: str) -> None:
+    """``s`` loads as ``int(s)`` exactly when the reference grammar matches
+    it, and fails with ``schema.decimal`` otherwise."""
+    if not _DECIMAL.fullmatch(s):
+        with pytest.raises(SchemaError) as err:
+            serialize.instance_from_obj(make(s))
+        assert err.value.code == "schema.decimal"
+        return
+    try:
+        inst = serialize.instance_from_obj(make(s))
+    except InvariantError as err:  # a well-formed rss number outside the universe
+        assert err.code.startswith("rss.")
+    else:
+        assert read(inst) == int(s)
 
 
 class TestSerialization:
@@ -303,6 +415,43 @@ class TestSerialization:
         with pytest.raises(SchemaError) as err:
             serialize.instance_from_obj(obj)
         assert err.value.code == "schema.label"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.text(alphabet="0123456789+- _\n٣²１", max_size=30)))
+    def test_decimal_grammar_matches_reference(self, s):
+        for make, read in _SITES.values():
+            _check_decimal(make, read, s)
+
+    @pytest.mark.parametrize(
+        "s",
+        ["", "0", "00", "007", "+1", "-0", " 1", "1 ", "1\n", "1_000", "٣", "²", "１２", "84", "10"],
+    )
+    @pytest.mark.parametrize("site", _SITES)
+    def test_decimal_grammar_fixed_cases(self, site, s):
+        _check_decimal(*_SITES[site], s)
+
+    @pytest.mark.parametrize("bad", [0, 1, True, False, None, [], ["1"], 1.5, {}])
+    @pytest.mark.parametrize("site", _FIELD_SITES)
+    def test_non_string_field_is_type_error(self, site, bad):
+        make, _ = _FIELD_SITES[site]
+        with pytest.raises(SchemaError) as err:
+            serialize.instance_from_obj(make(bad))
+        assert err.value.code == "schema.type"
+
+    @pytest.mark.parametrize("bad", [0, 1, True, None, ["1"]])
+    @pytest.mark.parametrize("site", _LIST_SITES)
+    def test_non_string_number_is_decimal_error(self, site, bad):
+        make, _ = _LIST_SITES[site]
+        with pytest.raises(SchemaError) as err:
+            serialize.instance_from_obj(make(bad))
+        assert err.value.code == "schema.decimal"
+
+    @pytest.mark.parametrize("site", _FIELD_SITES)
+    def test_missing_numeric_field(self, site):
+        make, _ = _FIELD_SITES[site]
+        with pytest.raises(SchemaError) as err:
+            serialize.instance_from_obj(make(_MISSING))
+        assert err.value.code == "schema.missing"
 
     def test_file_roundtrip(self, tmp_path):
         inst = RestrictedSubsetSumInstance(1, (84, 84, 84))

@@ -367,6 +367,10 @@ class TestKernelize:
         assert report["input_bits"] == instance_bits(inst)
 
 
+# naturals with zero drawn often: zero is the one value whose bit length is raised
+_NAT = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 2**200))
+
+
 class TestInstanceBits:
     def test_counts_every_number(self):
         inst = KnapsackInstance((Item(1, 255),), 7, 0)
@@ -375,3 +379,10 @@ class TestInstanceBits:
 
     def test_empty(self):
         assert instance_bits(KnapsackInstance((), 0, 0)) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_NAT, _NAT), max_size=12), _NAT, _NAT)
+    def test_matches_naive_sum(self, pairs, capacity, target):
+        inst = KnapsackInstance(tuple(Item(w, p) for w, p in pairs), capacity, target)
+        numbers = [capacity, target, *(v for pair in pairs for v in pair)]
+        assert instance_bits(inst) == sum(max(1, v.bit_length()) for v in numbers)

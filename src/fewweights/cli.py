@@ -39,7 +39,14 @@ from .solvers import pick_oracle, solve_brute_force, solve_dp_by_weight, solve_m
 
 __all__ = ["main", "verify_compose"]
 
-_VERIFY_SCALES = {(2, 1), (4, 1), (8, 1), (2, 2), (4, 2), (8, 2), (4, 3), (8, 3)}
+# (t, n) pairs whose every pattern meet-in-the-middle decides in seconds;
+# outside them a large t would spend minutes in gen_rss before the oracle's
+# entry budget could refuse anything
+_VERIFY_SCALES = {
+    (2, 1), (4, 1), (8, 1), (16, 1), (32, 1),
+    (2, 2), (4, 2), (8, 2), (16, 2),
+    (4, 3), (8, 3),
+}
 
 
 def _emit(obj: dict, out: str | None) -> None:

@@ -25,9 +25,9 @@ __all__ = [
 
 BRUTE_FORCE_LIMIT = 25
 # front entries meet-in-the-middle may read and keep over all extensions;
-# 40 items of weight = profit = 2**i stay within it in about 3.5 s at 425 MB
-# peak RSS (Python 3.11, 2 vCPUs); an entry costs more with longer masks and
-# larger values
+# 40 items of weight = profit = 2**i with target 0, where the profit bound
+# drops nothing, stay within it in about 3 s at 425 MB peak RSS (Python 3.11,
+# 2 vCPUs); an entry costs more with longer masks and larger values
 MEET_IN_MIDDLE_BUDGET = 2**23
 DP_CAPACITY_LIMIT = 10**7
 
@@ -96,19 +96,22 @@ def solve_brute_force(inst: KnapsackInstance) -> SolverResult:
     )
 
 
-def _extend_front(front: list, i: int, item, capacity: int) -> list:
+def _extend_front(front: list, i: int, item, capacity: int, floor: int) -> list:
     """Add item ``i`` to a Pareto front of ``(weight, profit, mask)`` entries.
 
     The front is sorted by weight, and each entry is strictly heavier and
     strictly more profitable than the one before it.  Shifted entries over
-    ``capacity`` are dropped.  At equal weight the stable sort puts the
-    entry without item ``i`` first, so on equal (weight, profit) it is kept.
+    ``capacity`` are dropped, and so are entries whose profit is below
+    ``floor``; they form the front's light end, so this is the same as
+    pruning after the dominance step.  At equal weight the stable sort puts
+    the entry without item ``i`` first, so on equal (weight, profit) it is
+    kept.
     """
     w_i, p_i, bit = item.weight, item.profit, 1 << i
     room = capacity - w_i
     shifted = [(w + w_i, p + p_i, m | bit) for w, p, m in front if w <= room]
     out = []
-    last_w, last_p = -1, -1
+    last_w, last_p = -1, floor - 1
     for entry in sorted(front + shifted, key=itemgetter(0)):
         w, p, _ = entry
         if p > last_p:
@@ -121,28 +124,44 @@ def _extend_front(front: list, i: int, item, capacity: int) -> list:
 
 
 def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
-    """Build the Pareto front of a prefix and of a suffix of the items, then
-    combine them in one two-pointer sweep (Horowitz–Sahni split with
-    Nemhauser–Ullmann dominance pruning).
+    """Build the Pareto front of a prefix and of a suffix of the items in
+    ascending weight order, then combine them in one two-pointer sweep
+    (Horowitz–Sahni split with Nemhauser–Ullmann dominance pruning and a
+    profit bound on each front).
 
-    The prefix grows from item 0 and the suffix from item n-1; each next item
-    goes to whichever front is smaller, ties to the prefix.  A front entry is
-    a subset of its side that no other subset of that side dominates by
-    weight and profit, so the best fitting pair over the two fronts is a
-    maximum-profit subset.
+    The items are sorted by weight (stable, so equal weights keep index
+    order).  The prefix grows from the lightest item and the suffix from the
+    heaviest; each next item goes to whichever front is smaller, ties to the
+    prefix.  A front entry is a subset of its side that no other subset of
+    that side dominates by weight and profit, so the best fitting pair over
+    the two fronts is a maximum-profit subset.
+
+    Each extension also drops every entry whose profit plus the profit of
+    all items not yet placed on its side is below ``inst.target``.  This is
+    exact: a subset that reaches the target splits into one part per side,
+    and each part (and every entry that dominates it) passes the bound; an
+    entry that fails it fails it again after every later extension.  So the
+    verdict and the maximum profit of a feasible instance are those of the
+    unbounded fronts.  With target 0 the bound drops nothing.  A front may
+    end up empty, and then the instance is infeasible.
 
     The verdict and the achieved (maximum) profit agree with brute force.
-    Ties between witnesses are broken deterministically: among maximum-profit
-    pairs the lightest prefix-front entry wins, paired with the heaviest
-    suffix-front entry that fits; while a front is built, the entry without
-    the later-added item is kept on equal (weight, profit).
+    Ties between witnesses are broken deterministically over the sorted
+    order: among maximum-profit pairs the lightest prefix-front entry wins,
+    paired with the heaviest suffix-front entry that fits; while a front is
+    built, the entry without the later-added item is kept on equal (weight,
+    profit).  ``chosen`` holds the original item indices.
 
     Cost is counted in front entries read and kept, not items: an extension
     keeps at most twice what it reads, and one that could push the total
     past ``MEET_IN_MIDDLE_BUDGET`` is refused before it runs.
     """
     n = len(inst.items)
-    capacity = inst.capacity
+    capacity, target = inst.capacity, inst.target
+    order = sorted(range(n), key=lambda i: inst.items[i].weight)
+    items = [inst.items[i] for i in order]
+    # profit of the items not yet placed on the prefix's / the suffix's side
+    prefix_rest = suffix_rest = sum(it.profit for it in items)
     prefix = [(0, 0, 0)]
     suffix = [(0, 0, 0)]
     lo, hi = 0, n - 1
@@ -154,10 +173,12 @@ def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
                 "solve.mim", f"{n} items need over {MEET_IN_MIDDLE_BUDGET} front entries"
             )
         if front is prefix:
-            prefix = grown = _extend_front(front, lo, inst.items[lo], capacity)
+            prefix_rest -= items[lo].profit
+            prefix = grown = _extend_front(front, lo, items[lo], capacity, target - prefix_rest)
             lo += 1
         else:
-            suffix = grown = _extend_front(front, hi, inst.items[hi], capacity)
+            suffix_rest -= items[hi].profit
+            suffix = grown = _extend_front(front, hi, items[hi], capacity, target - suffix_rest)
             hi -= 1
         spent += len(front) + len(grown)
 
@@ -166,16 +187,18 @@ def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
     j = len(suffix) - 1
     for w, p, m in prefix:
         # prefix weights rise, so the heaviest fitting suffix entry only
-        # moves down; suffix[0] weighs 0 (like the empty subset) and always fits
-        while suffix[j][0] > capacity - w:
+        # moves down; once none fits, no later prefix entry has one either
+        while j >= 0 and suffix[j][0] > capacity - w:
             j -= 1
+        if j < 0:
+            break
         if p + suffix[j][1] > best_p:
             best_p = p + suffix[j][1]
             best_mask = m | suffix[j][2]
 
-    if best_p < inst.target:
+    if best_p < target:
         return SolverResult(feasible=False)
-    chosen = _mask_indices(best_mask)
+    chosen = frozenset(order[k] for k in _mask_indices(best_mask))
     return SolverResult(
         feasible=True,
         chosen=chosen,

@@ -175,16 +175,31 @@ class TestSolve:
         # composed capacities exceed the table guard by design
         assert main(["solve", str(composed_file), "--method", "dp"]) == 3
 
-    def test_mim_entry_budget(self, tmp_path, capsys):
-        # weight = profit = 2**i puts every subset on the Pareto front, so the
-        # fronts double with each item; at 48 items they once ran out of memory
-        inst = KnapsackInstance(tuple(Item(2**i, 2**i) for i in range(48)), 2**48, 2**48)
+    @staticmethod
+    def _doubling_file(tmp_path, target):
+        inst = KnapsackInstance(tuple(Item(2**i, 2**i) for i in range(48)), 2**48, target)
         src = tmp_path / "doubling.json"
         dump_instance(inst, src)
+        return src
+
+    def test_mim_entry_budget(self, tmp_path, capsys):
+        # weight = profit = 2**i puts every subset on the Pareto front, so the
+        # fronts double with each item; at 48 items they once ran out of
+        # memory.  Target 0 turns the profit bound off.
+        src = self._doubling_file(tmp_path, 0)
         assert main(["solve", str(src), "--method", "mim"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("guard[solve.mim]")
         assert "Traceback" not in err
+
+    def test_mim_bound_empties_fronts(self, tmp_path, capsys):
+        # a target above the total profit 2**48 - 1: the profit bound empties
+        # the fronts at once, so the same 48 items are decided, not refused
+        src = self._doubling_file(tmp_path, 2**48)
+        assert main(["solve", str(src), "--method", "mim"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "infeasible\n"
+        assert captured.err == ""
 
     def test_brute_guard(self, tmp_path, capsys):
         big = tmp_path / "big.json"
@@ -378,14 +393,14 @@ class TestVerify:
         assert out.count("pass") >= 6
 
     def test_verify_compose_scale_guard(self):
-        assert main(["verify", "compose", "--t", "16", "--n", "1"]) == 3
+        assert main(["verify", "compose", "--t", "64", "--n", "1"]) == 3
 
     def test_verify_compose_library_entry(self):
         ok, rows, failures = verify_compose(2, 2, 0, 7, log=lambda *_: None)
         assert ok and not failures
         assert len(rows) == 3  # all-no plus the two single-yes patterns
 
-    @pytest.mark.parametrize("t, n", [(8, 2), (4, 3), (8, 3)])
+    @pytest.mark.parametrize("t, n", [(8, 2), (4, 3), (8, 3), (16, 1), (32, 1), (16, 2)])
     def test_verify_compose_wider_scales(self, t, n):
         ok, rows, failures = verify_compose(t, n, 0, 1, log=lambda *_: None)
         assert ok and not failures

@@ -119,13 +119,37 @@ class TestDeterminism:
         assert solve_brute_force(inst).chosen == frozenset({1, 2})
 
     def test_mim_tie_break(self):
-        # item 0 starts the prefix front, item 1 the suffix front; the lightest
-        # prefix entry (empty) pairs with the heaviest fitting suffix entry
+        # equal weights keep index order, so item 0 starts the prefix front
+        # and item 1 the suffix front; the lightest prefix entry (empty) pairs
+        # with the heaviest fitting suffix entry
         inst = KnapsackInstance((Item(1, 5), Item(1, 5)), 1, 5)
         assert solve_meet_in_middle(inst).chosen == frozenset({1})
         # on equal (weight, profit) the entry without the later item stays
         inst = KnapsackInstance((Item(0, 0), Item(1, 5)), 1, 5)
         assert solve_meet_in_middle(inst).chosen == frozenset({1})
+        # the split is over ascending weight: the lighter item 1 starts the
+        # prefix, so the heavier item 0 is the suffix entry the empty prefix
+        # entry pairs with
+        inst = KnapsackInstance((Item(2, 5), Item(1, 5)), 2, 5)
+        assert solve_meet_in_middle(inst).chosen == frozenset({0})
+
+    def test_mim_original_indices(self):
+        # descending weights: the split sees the items reversed, and the
+        # unique optimum {1, 4} would read {0, 3} without the map back
+        inst = KnapsackInstance(
+            tuple(Item(w, p) for w, p in [(9, 1), (7, 8), (5, 1), (3, 1), (1, 6)]), 8, 14
+        )
+        res = solve_meet_in_middle(inst)
+        assert res.chosen == frozenset({1, 4})
+        assert (res.achieved_weight, res.achieved_profit) == (8, 14)
+        # equal weights behind a heavier item 0: the unique optimum {2, 4}
+        # sits at sorted positions {1, 3}
+        inst = KnapsackInstance(
+            (Item(4, 9),) + tuple(Item(2, p) for p in (1, 5, 3, 5)), 4, 10
+        )
+        res = solve_meet_in_middle(inst)
+        assert res.chosen == frozenset({2, 4})
+        assert (res.achieved_weight, res.achieved_profit) == (4, 10)
 
 
 class TestGuards:
@@ -136,10 +160,12 @@ class TestGuards:
 
     def test_mim_entry_budget(self, monkeypatch):
         # 12 doubling items: each side extends six times, reading 2**k and
-        # keeping 2**(k+1) entries, so 2 * 3 * (2**6 - 1) = 378 in all
-        inst = KnapsackInstance(_doubling_items(12), 2**12, 2**12 - 1)
+        # keeping 2**(k+1) entries, so 2 * 3 * (2**6 - 1) = 378 in all;
+        # target 0 turns the profit bound off, so every entry is kept
+        inst = KnapsackInstance(_doubling_items(12), 2**12, 0)
         monkeypatch.setattr(solvers, "MEET_IN_MIDDLE_BUDGET", 378)
-        assert solve_meet_in_middle(inst).feasible
+        res = solve_meet_in_middle(inst)
+        assert res.feasible and res.achieved_profit == 2**12 - 1
         monkeypatch.setattr(solvers, "MEET_IN_MIDDLE_BUDGET", 377)
         with pytest.raises(GuardError) as exc:
             solve_meet_in_middle(inst)
@@ -255,3 +281,31 @@ def test_mim_matches_brute_force(inst):
         assert inst.subset_profit(got.chosen) == got.achieved_profit
         assert got.achieved_weight <= inst.capacity
 
+
+@st.composite
+def _knapsacks_and_optimum(draw):
+    """Up to 14 items with weights and profits in small ranges, so ties are
+    common, plus the capacity and the optimum profit under it."""
+    top = draw(st.sampled_from([1, 3, 10]))
+    value = st.integers(0, top)
+    pairs = draw(st.lists(st.tuples(value, value), max_size=14))
+    items = tuple(Item(w, p) for w, p in pairs)
+    capacity = draw(st.integers(0, sum(w for w, _ in pairs)))
+    optimum = solve_brute_force(KnapsackInstance(items, capacity, 0)).achieved_profit
+    return items, capacity, optimum
+
+
+@settings(max_examples=300, deadline=None)
+@given(_knapsacks_and_optimum(), st.sampled_from([-1, 0, 1]))
+def test_mim_target_at_optimum(drawn, offset):
+    # the profit bound is tightest when the target sits at the optimum
+    items, capacity, optimum = drawn
+    inst = KnapsackInstance(items, capacity, max(0, optimum + offset))
+    expected = solve_brute_force(inst)
+    got = solve_meet_in_middle(inst)
+    assert got.feasible == expected.feasible == (offset <= 0)
+    if got.feasible:
+        assert got.achieved_profit == expected.achieved_profit == optimum
+        assert inst.subset_weight(got.chosen) == got.achieved_weight
+        assert inst.subset_profit(got.chosen) == got.achieved_profit
+        assert got.achieved_weight <= inst.capacity

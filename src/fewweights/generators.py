@@ -29,6 +29,13 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _RESAMPLE_BUDGET = 10**5
+# Largest yes-instance sizes, in n or in items times 64-bit words per value;
+# `fewweights gen` at each (Python 3.11, 2 vCPUs) takes 1.9 s for x3c, 2.4 s for
+# rss, and for knapsack 0.6 s, or 3.0 s with every value distinct and
+# max_value = items, where the distinct draws collect coupons
+_X3C_SIZE_LIMIT = 2**15
+_RSS_SIZE_LIMIT = 400
+_KNAPSACK_WORDS_LIMIT = 2**15
 
 # The only size-1 instance family has a single possible triple, so a verified
 # no-instance cannot come from triples; this universe-member multiset is the
@@ -106,6 +113,8 @@ def gen_x3c(n: int, seed: int, want_yes: bool) -> X3CInstance:
         raise InvariantError("gen.n", "size parameter must be >= 1")
     rng = SplitMix64(seed)
     if want_yes:
+        if n > _X3C_SIZE_LIMIT:
+            raise GuardError("gen.size", f"n = {n}, limit {_X3C_SIZE_LIMIT}")
         triples = []
         for _ in range(3):
             triples.extend(_random_partition_triples(rng, n))
@@ -142,6 +151,8 @@ def gen_rss(n: int, seed: int, want_yes: bool) -> RestrictedSubsetSumInstance:
     """
     if not want_yes and n == 1:
         return RestrictedSubsetSumInstance(1, RSS_NO_INSTANCE_SIZE_1)
+    if want_yes and n > _RSS_SIZE_LIMIT:
+        raise GuardError("gen.size", f"n = {n}, limit {_RSS_SIZE_LIMIT}")
     return x3c_to_rss(gen_x3c(n, seed, want_yes))
 
 
@@ -177,6 +188,9 @@ def gen_knapsack(
         raise InvariantError(
             "gen.max-value", "max_value too small for the requested distinct counts"
         )
+    words = n_items * (max_value.bit_length() // 64 + 1)
+    if words > _KNAPSACK_WORDS_LIMIT:
+        raise GuardError("gen.size", f"{words} item words, limit {_KNAPSACK_WORDS_LIMIT}")
     rng = SplitMix64(seed)
     weights = _distinct_values(rng, w_distinct, max_value)
     profits = _distinct_values(rng, p_distinct, max_value)

@@ -6,6 +6,10 @@ no leading zero (``"0"`` itself excepted), within the interpreter's int/str
 digit limit.  Schema violations raise :class:`SchemaError`; values that parse
 but break a type invariant raise :class:`InvariantError` (from the type
 constructors), so the two failure classes stay distinguishable by error code.
+
+The interface is four functions: ``instance_to_obj``/``instance_from_obj``
+between instances and JSON objects, ``dump_instance``/``load_instance`` through
+files.  Only ``instance_to_obj`` can strip the labels of knapsack items.
 """
 
 from __future__ import annotations
@@ -25,23 +29,7 @@ from .core import (
     X3CInstance,
 )
 
-__all__ = [
-    "knapsack_to_obj",
-    "knapsack_from_obj",
-    "rss_to_obj",
-    "rss_from_obj",
-    "x3c_to_obj",
-    "x3c_from_obj",
-    "subset_sum_to_obj",
-    "subset_sum_from_obj",
-    "instance_to_obj",
-    "instance_from_obj",
-    "dump_instance",
-    "load_instance",
-]
-
-def _encode_nat(v: int) -> str:
-    return str(v)
+__all__ = ["instance_to_obj", "instance_from_obj", "dump_instance", "load_instance"]
 
 
 def _decode_nat(field: str, v) -> int:
@@ -114,30 +102,27 @@ def _label_from_obj(obj) -> Label | None:
 
 
 # ---------------------------------------------------------------------------
-# Per-kind converters
+# Per-kind converters; ``instance_from_obj`` has checked that ``obj`` is a dict
 # ---------------------------------------------------------------------------
 
-def knapsack_to_obj(inst: KnapsackInstance, strip_labels: bool = False) -> dict:
+def _knapsack_to_obj(inst: KnapsackInstance, strip_labels: bool) -> dict:
     items = []
     for it in inst.items:
-        entry = {"weight": _encode_nat(it.weight), "profit": _encode_nat(it.profit)}
+        entry = {"weight": str(it.weight), "profit": str(it.profit)}
         if it.label is not None and not strip_labels:
             entry["label"] = _label_to_obj(it.label)
         items.append(entry)
     return {
         "kind": "knapsack",
         "items": items,
-        "capacity": _encode_nat(inst.capacity),
-        "target": _encode_nat(inst.target),
+        "capacity": str(inst.capacity),
+        "target": str(inst.target),
     }
 
 
-def knapsack_from_obj(obj) -> KnapsackInstance:
-    if not isinstance(obj, dict):
-        raise SchemaError("schema.object", "instance must be a JSON object")
-    items_obj = _expect(obj, "items", list)
+def _knapsack_from_obj(obj: dict) -> KnapsackInstance:
     items = []
-    for entry in items_obj:
+    for entry in _expect(obj, "items", list):
         if not isinstance(entry, dict):
             raise SchemaError("schema.item", "item must be an object")
         items.append(
@@ -146,29 +131,25 @@ def knapsack_from_obj(obj) -> KnapsackInstance:
     return KnapsackInstance(tuple(items), _nat(obj, "capacity"), _nat(obj, "target"))
 
 
-def rss_to_obj(inst: RestrictedSubsetSumInstance) -> dict:
+def _rss_to_obj(inst: RestrictedSubsetSumInstance) -> dict:
     return {
         "kind": "rss",
         "n": inst.n,
-        "numbers": [_encode_nat(a) for a in inst.numbers],
+        "numbers": [str(a) for a in inst.numbers],
     }
 
 
-def rss_from_obj(obj) -> RestrictedSubsetSumInstance:
-    if not isinstance(obj, dict):
-        raise SchemaError("schema.object", "instance must be a JSON object")
+def _rss_from_obj(obj: dict) -> RestrictedSubsetSumInstance:
     n = _expect(obj, "n", int)
     numbers = [_decode_nat("numbers", v) for v in _expect(obj, "numbers", list)]
     return RestrictedSubsetSumInstance(n, tuple(numbers))
 
 
-def x3c_to_obj(inst: X3CInstance) -> dict:
+def _x3c_to_obj(inst: X3CInstance) -> dict:
     return {"kind": "x3c", "n": inst.n, "triples": [list(t) for t in inst.triples]}
 
 
-def x3c_from_obj(obj) -> X3CInstance:
-    if not isinstance(obj, dict):
-        raise SchemaError("schema.object", "instance must be a JSON object")
+def _x3c_from_obj(obj: dict) -> X3CInstance:
     n = _expect(obj, "n", int)
     triples = []
     for t in _expect(obj, "triples", list):
@@ -180,42 +161,39 @@ def x3c_from_obj(obj) -> X3CInstance:
     return X3CInstance(n, tuple(triples))
 
 
-def subset_sum_to_obj(inst: SubsetSumInstance) -> dict:
+def _subset_sum_to_obj(inst: SubsetSumInstance) -> dict:
     return {
         "kind": "subsetsum",
-        "numbers": [_encode_nat(a) for a in inst.numbers],
-        "target": _encode_nat(inst.target),
+        "numbers": [str(a) for a in inst.numbers],
+        "target": str(inst.target),
     }
 
 
-def subset_sum_from_obj(obj) -> SubsetSumInstance:
-    if not isinstance(obj, dict):
-        raise SchemaError("schema.object", "instance must be a JSON object")
+def _subset_sum_from_obj(obj: dict) -> SubsetSumInstance:
     numbers = [_decode_nat("numbers", v) for v in _expect(obj, "numbers", list)]
     return SubsetSumInstance(tuple(numbers), _nat(obj, "target"))
 
 
-_TO_OBJ = {
-    KnapsackInstance: knapsack_to_obj,
-    RestrictedSubsetSumInstance: rss_to_obj,
-    X3CInstance: x3c_to_obj,
-    SubsetSumInstance: subset_sum_to_obj,
+_TO_OBJ = {  # knapsack, the kind with labels, goes first
+    RestrictedSubsetSumInstance: _rss_to_obj,
+    X3CInstance: _x3c_to_obj,
+    SubsetSumInstance: _subset_sum_to_obj,
 }
 
 _FROM_OBJ = {
-    "knapsack": knapsack_from_obj,
-    "rss": rss_from_obj,
-    "x3c": x3c_from_obj,
-    "subsetsum": subset_sum_from_obj,
+    "knapsack": _knapsack_from_obj,
+    "rss": _rss_from_obj,
+    "x3c": _x3c_from_obj,
+    "subsetsum": _subset_sum_from_obj,
 }
 
 
 def instance_to_obj(inst, strip_labels: bool = False) -> dict:
+    if type(inst) is KnapsackInstance:
+        return _knapsack_to_obj(inst, strip_labels)
     conv = _TO_OBJ.get(type(inst))
     if conv is None:
         raise SchemaError("schema.kind", f"cannot serialize {type(inst).__name__}")
-    if conv is knapsack_to_obj:
-        return conv(inst, strip_labels)
     return conv(inst)
 
 
@@ -229,9 +207,9 @@ def instance_from_obj(obj):
     return conv(obj)
 
 
-def dump_instance(inst, path, strip_labels: bool = False) -> None:
+def dump_instance(inst, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_obj(inst, strip_labels=strip_labels), fh, indent=2)
+        json.dump(instance_to_obj(inst), fh, indent=2)
         fh.write("\n")
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from fewweights.core import (
     Item,
     KnapsackInstance,
     RestrictedSubsetSumInstance,
+    SubsetSumInstance,
     X3CInstance,
 )
 from fewweights.serialize import dump_instance, instance_from_obj, load_instance
@@ -53,6 +55,103 @@ class TestGen:
         )
         assert code == 0
         assert load_instance(out) == gen_knapsack(6, 2, 3, 50, 5)
+
+
+class TestSizeGuards:
+    """Sizes past a generator's or the verifier's limit exit 3 before
+    anything is sized by them."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["gen", "x3c", "--n", str(10**18), "--yes"], "gen.size"),
+            (["gen", "rss", "--n", str(10**18), "--yes"], "gen.size"),
+            (["gen", "rss", "--n", "401", "--yes"], "gen.size"),
+            (["gen", "knapsack", "--items", str(10**18), "--w-distinct", "2",
+              "--p-distinct", "2", "--max-value", "100"], "gen.size"),
+            # two 64-bit words per value
+            (["gen", "knapsack", "--items", "16385", "--w-distinct", "2",
+              "--p-distinct", "2", "--max-value", str(2**64)], "gen.size"),
+            (["verify", "compose", "--t", "2", "--n", "1", "--trials", str(10**12)],
+             "verify.trials"),
+        ],
+    )
+    def test_guard_before_sizing(self, capsys, argv, code):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.startswith(f"guard[{code}]")
+        assert "Traceback" not in err
+        assert peak < 1 << 20
+
+    def test_no_instance_keeps_its_guard(self, capsys):
+        assert main(["gen", "rss", "--n", str(10**18), "--no"]) == 3
+        assert capsys.readouterr().err.startswith("guard[gen.x3c-no]")
+
+
+# one instance of each kind
+_FILES = {
+    "knapsack": KnapsackInstance((Item(3, 4),), 3, 4),
+    "rss": RestrictedSubsetSumInstance(1, (84, 84, 84)),
+    "x3c": X3CInstance(1, ((1, 2, 3),) * 3),
+    "subsetsum": SubsetSumInstance((3, 5), 8),
+}
+# each command's argv before its input file, and the kind it reads
+_COMMANDS = [
+    (["solve"], "knapsack"),
+    (["kernelize"], "knapsack"),
+    (["compose"], "rss"),
+    (["reduce", "x3c-to-rss"], "x3c"),
+    (["reduce", "subset-sum-to-knapsack"], "subsetsum"),
+]
+# one schema violation of each kind that a single-input command reads
+_BROKEN = {
+    "knapsack": {"kind": "knapsack", "items": [], "capacity": "07", "target": "0"},
+    "x3c": {"kind": "x3c", "n": 1, "triples": [[1, 2, 3], [1, 2, 3], "123"]},
+    "subsetsum": {"kind": "subsetsum", "numbers": ["3", "05"], "target": "8"},
+}
+
+
+class TestBoundary:
+    """Every command loads its files through one checked loader."""
+
+    @staticmethod
+    def _argv(prefix, path, tmp_path):
+        argv = [*prefix, str(path)]
+        return argv + ["--out", str(tmp_path / "out.json")] if prefix == ["compose"] else argv
+
+    @pytest.mark.parametrize(
+        "prefix, wrong",
+        [(prefix, kind) for prefix, want in _COMMANDS for kind in _FILES if kind != want],
+    )
+    def test_wrong_kind(self, tmp_path, capsys, prefix, wrong):
+        src = tmp_path / "in.json"
+        dump_instance(_FILES[wrong], src)
+        assert main(self._argv(prefix, src, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[schema.kind]: {src}: expected ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "prefix, kind", [(p, k) for p, k in _COMMANDS if p != ["compose"]]
+    )
+    def test_schema_error_names_the_file(self, tmp_path, capsys, prefix, kind):
+        src = tmp_path / "broken.json"
+        src.write_text(json.dumps(_BROKEN[kind]))
+        assert main(self._argv(prefix, src, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[schema.") and f"]: {src}: " in err
+
+    def test_invariant_error_names_the_file(self, tmp_path, capsys):
+        src = tmp_path / "bad.json"
+        doc = {"kind": "x3c", "n": 1, "triples": [[1, 2, 3], [1, 2, 3], [1, 2, 4]]}
+        src.write_text(json.dumps(doc))
+        assert main(["reduce", "x3c-to-rss", str(src)]) == 2
+        assert capsys.readouterr().err.startswith(f"error[x3c.element]: {src}: ")
 
 
 class TestReduce:
@@ -377,6 +476,17 @@ class TestKernelize:
         assert solve_brute_force(inst).feasible
         assert solve_brute_force(out).feasible
 
+    def test_composed_kernel_has_no_labels(self, rss_files, tmp_path, capsys):
+        # a kernel's items are re-encoded or canonical, so none has a label
+        yes, no = rss_files
+        composed = tmp_path / "c.json"
+        assert main(["compose", str(yes), str(no), "--out", str(composed)]) == 0
+        assert '"label"' in composed.read_text()
+        capsys.readouterr()
+        assert main(["kernelize", str(composed)]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["items"] and all("label" not in entry for entry in obj["items"])
+
     def test_stdout_instance(self, tmp_path, capsys):
         src = tmp_path / "k.json"
         dump_instance(gen_knapsack(5, 1, 1, 9, 3), src)
@@ -419,10 +529,23 @@ class TestVerify:
                 return res
             return dataclasses.replace(res, achieved_weight=res.achieved_weight - 1)
 
-        monkeypatch.setattr(cli, "pick_oracle", lambda inst: ("short", short))
+        monkeypatch.setattr(cli, "solve_meet_in_middle", short)
         ok, rows, failures = verify_compose(2, 1, 0, 3, log=lambda *_: None)
         assert not ok
         assert [f[0] for f in failures] == [(True, False), (False, True)]
+
+    def test_kernel_verdict_checked(self, monkeypatch):
+        # a kernel that always answers no fails every single-yes pattern
+        import fewweights.cli as cli
+
+        monkeypatch.setattr(cli, "kernelize", lambda inst: KnapsackInstance((), 0, 1))
+        ok, rows, failures = verify_compose(2, 1, 0, 3, log=lambda *_: None)
+        assert not ok
+        assert [f[0] for f in failures] == [(True, False), (False, True)]
+        # (verdict, kernel verdict, expected) for all-no and both single-yes
+        assert [row[1:] for row in rows] == [
+            (False, False, False), (True, False, True), (True, False, True)
+        ]
 
     def test_mismatch_writes_counterexamples(self, tmp_path, monkeypatch, capsys):
         """A verdict mismatch must exit 1 and leave the offending inputs on disk."""
@@ -431,7 +554,7 @@ class TestVerify:
         bad_input = RestrictedSubsetSumInstance(1, (84, 84, 84))
 
         def fake_verify(t, n, trials, seed, log=print):
-            return False, [((True,), "brute", False, True)], [((True,), [bad_input])]
+            return False, [((True,), False, False, True)], [((True,), [bad_input])]
 
         monkeypatch.setattr(cli, "verify_compose", fake_verify)
         monkeypatch.chdir(tmp_path)

@@ -341,6 +341,11 @@ class TestSerialization:
         obj = serialize.instance_to_obj(inst, strip_labels=True)
         assert "label" not in obj["items"][0]
 
+    def test_unknown_type_is_refused(self):
+        with pytest.raises(SchemaError) as err:
+            serialize.instance_to_obj(Item(1, 2))
+        assert err.value.code == "schema.kind"
+
     def test_rss_roundtrip(self):
         inst = RestrictedSubsetSumInstance(1, (12, 48, 192))
         assert serialize.instance_from_obj(serialize.instance_to_obj(inst)) == inst

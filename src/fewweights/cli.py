@@ -39,17 +39,17 @@ from .solvers import solve_brute_force, solve_dp_by_weight, solve_meet_in_middle
 
 __all__ = ["main", "verify_compose"]
 
-# (t, n) pairs whose every pattern meet-in-the-middle decides in seconds;
-# outside them a large t would spend minutes in gen_rss before the oracle's
-# entry budget could refuse anything
+# the (t, n) pairs whose every pattern meet-in-the-middle decides in
+# seconds, each with its largest `--trials`; outside them a large t would
+# spend minutes in gen_rss before the oracle's entry budget could refuse
+# anything.  At each cap `verify compose` takes 1.6-3.7 s through the CLI
+# (Python 3.11, 2 vCPUs, seeds 0 and 1); the all-no and single-yes patterns
+# always run, and at (16, 2) those 17 alone take about 2.7 s
 _VERIFY_SCALES = {
-    (2, 1), (4, 1), (8, 1), (16, 1), (32, 1),
-    (2, 2), (4, 2), (8, 2), (16, 2),
-    (4, 3), (8, 3),
+    (2, 1): 4096, (4, 1): 2048, (8, 1): 1024, (16, 1): 512, (32, 1): 128,
+    (2, 2): 256, (4, 2): 128, (8, 2): 64, (16, 2): 32,
+    (4, 3): 256, (8, 3): 64,
 }
-# `verify compose --t 2 --n 1 --trials 4096` takes 3.2 s (Python 3.11, 2
-# vCPUs); a pattern of t inputs costs about t times as much
-_VERIFY_TRIALS_LIMIT = 4096
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -156,8 +156,10 @@ def verify_compose(t: int, n: int, trials: int, seed: int, log=print):
             "verify.scale",
             f"(t={t}, n={n}) outside the oracle-checked scales {sorted(_VERIFY_SCALES)}",
         )
-    if trials > _VERIFY_TRIALS_LIMIT:
-        raise GuardError("verify.trials", f"{trials} trials, limit {_VERIFY_TRIALS_LIMIT}")
+    if trials > _VERIFY_SCALES[t, n]:
+        raise GuardError(
+            "verify.trials", f"{trials} trials at (t={t}, n={n}), limit {_VERIFY_SCALES[t, n]}"
+        )
     rng = SplitMix64(seed)
     patterns = [tuple([False] * t)]
     for i in range(t):

@@ -21,7 +21,7 @@ immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .core import (
@@ -124,10 +124,6 @@ class ComposedInstance:
     knapsack: KnapsackInstance
     constants: CompositionConstants
     inputs: tuple[RestrictedSubsetSumInstance, ...]
-    label_positions: dict[Label, int] = field(repr=False)
-
-    def position_of(self, label: Label) -> int:
-        return self.label_positions[label]
 
 
 def pad_to_power_of_two(
@@ -253,8 +249,7 @@ def compose(instances: list[RestrictedSubsetSumInstance]) -> ComposedInstance:
             "compose.distinct-weights", f"{distinct} distinct weights exceed {bound}"
         )
 
-    label_positions = {it.label: pos for pos, it in enumerate(items)}
-    return ComposedInstance(knapsack, constants, tuple(padded), label_positions)
+    return ComposedInstance(knapsack, constants, tuple(padded))
 
 
 def quadratization_labels(i: int, lg_t: int) -> frozenset[Label]:
@@ -307,17 +302,12 @@ def canonical_solution(
             f"witness sums to {picked_sum}, expected {constants.rss_target}",
         )
 
-    chosen = set()
-    for p in positions:
-        chosen.add(composed.position_of(Encoding(which, p)))
-    for i0 in range(which + 1, t):
-        for j in range(3 * n):
-            chosen.add(composed.position_of(Encoding(i0, j)))
-    for label in quadratization_labels(which, constants.lg_t):
-        chosen.add(composed.position_of(label))
-    for label in index_labels(which, constants.lg_t):
-        chosen.add(composed.position_of(label))
-    return frozenset(chosen)
+    labels = {Encoding(which, p) for p in positions}
+    labels.update(Encoding(i0, j) for i0 in range(which + 1, t) for j in range(3 * n))
+    labels |= quadratization_labels(which, constants.lg_t)
+    labels |= index_labels(which, constants.lg_t)
+    position = {it.label: pos for pos, it in enumerate(composed.knapsack.items)}
+    return frozenset(position[label] for label in labels)
 
 
 def _layer_value(value: int, constants: CompositionConstants, layer: str) -> int:

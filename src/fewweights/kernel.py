@@ -95,28 +95,31 @@ def solve_grouped(g: GroupedInstance) -> SolverResult:
     binary-split re-encoding ``ilp_to_knapsack(g)``.
 
     A class's count ``x`` is the sum of its chosen splitting coefficients,
-    and the witness ``chosen`` takes the class's first ``x`` items, so it has
-    the weight and profit of the re-encoded witness.  Meet-in-the-middle's
-    entry budget is the only cost guard (``GuardError("solve.mim")``).
+    and the witness ``chosen`` takes the class's first ``x`` items; its
+    totals, summed over those items, must fit ``g.capacity`` and equal the
+    re-encoded optimum, or ``InternalError("kernel.witness")`` is raised.
+    Meet-in-the-middle's entry budget is the only cost guard
+    (``GuardError("solve.mim")``).
     """
     res = solve_meet_in_middle(ilp_to_knapsack(g))
     if not res.feasible:
         return res
     chosen = []
-    k = 0
-    for _, _, members in g.classes:
+    weight = profit = k = 0
+    for w, p, members in g.classes:
         x = 0
         for c in binary_split(len(members)):
             if k in res.chosen:
                 x += c
             k += 1
-        chosen.extend(members[:x])
-    return SolverResult(
-        feasible=True,
-        chosen=frozenset(chosen),
-        achieved_weight=res.achieved_weight,
-        achieved_profit=res.achieved_profit,
-    )
+        taken = members[:x]
+        chosen.extend(taken)
+        weight += len(taken) * w
+        profit += len(taken) * p
+    if weight > g.capacity or profit != res.achieved_profit:
+        raise InternalError("kernel.witness", f"witness weight {weight}, profit {profit}; "
+                            f"capacity {g.capacity}, optimum {res.achieved_profit}")
+    return SolverResult(True, frozenset(chosen), weight, profit)
 
 
 def reduce_ilp(g: GroupedInstance) -> GroupedInstance:

@@ -4,7 +4,10 @@ These solvers know nothing about how an instance was built; they enumerate.
 All three return a maximum-profit witness so that maximality-based arguments
 can be exercised, and all arithmetic is plain Python integers.  Each guards
 its own cost: brute force by items, meet-in-the-middle by front entries, the
-DP by capacity.
+DP by the cells of its table, items times capacities.
+
+All three recompute a feasible result's totals from its witness, and one
+over the capacity or off the search's optimum raises ``InternalError``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ __all__ = [
     "pick_oracle",
     "BRUTE_FORCE_LIMIT",
     "MEET_IN_MIDDLE_BUDGET",
-    "DP_CAPACITY_LIMIT",
+    "DP_CELL_LIMIT",
 ]
 
 BRUTE_FORCE_LIMIT = 25
@@ -29,7 +32,11 @@ BRUTE_FORCE_LIMIT = 25
 # drops nothing, stay within it in about 3 s at 425 MB peak RSS (Python 3.11,
 # 2 vCPUs); an entry costs more with longer masks and larger values
 MEET_IN_MIDDLE_BUDGET = 2**23
-DP_CAPACITY_LIMIT = 10**7
+# cells (items + 1) * (capacity + 1) the DP may fill; at the limit, 4095
+# unit-weight items with profits 1..4095, each raising every cell it reaches,
+# take 2.6 s (4.2 s with profits 2**i), and 0 items at capacity 2**24 - 1
+# peak at 272 MB RSS (Python 3.11, 2 vCPUs)
+DP_CELL_LIMIT = 2**24
 
 # chunk size for the brute-force scan; bounds peak memory at ~2**18 entries
 _CHUNK_BITS = 18
@@ -56,6 +63,16 @@ def _mask_indices(mask: int) -> frozenset[int]:
         mask >>= 1
         pos += 1
     return frozenset(out)
+
+
+def _witness(inst: KnapsackInstance, chosen, optimum: int, code: str) -> SolverResult:
+    """The feasible result for the witness ``chosen`` of a search that found
+    profit ``optimum``, with both totals recomputed from the witness."""
+    weight, profit = inst.subset_weight(chosen), inst.subset_profit(chosen)
+    if weight > inst.capacity or profit != optimum:
+        raise InternalError(code, f"witness weight {weight}, profit {profit}; "
+                            f"capacity {inst.capacity}, optimum {optimum}")
+    return SolverResult(True, chosen, weight, profit)
 
 
 def solve_brute_force(inst: KnapsackInstance) -> SolverResult:
@@ -87,13 +104,7 @@ def solve_brute_force(inst: KnapsackInstance) -> SolverResult:
     # the empty subset always fits, so a maximum exists
     if best_p < inst.target:
         return SolverResult(feasible=False)
-    chosen = _mask_indices(best_mask)
-    return SolverResult(
-        feasible=True,
-        chosen=chosen,
-        achieved_weight=inst.subset_weight(chosen),
-        achieved_profit=best_p,
-    )
+    return _witness(inst, _mask_indices(best_mask), best_p, "solve.brute")
 
 
 def _extend_front(front: list, i: int, item, capacity: int, floor: int) -> list:
@@ -199,60 +210,33 @@ def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
     if best_p < target:
         return SolverResult(feasible=False)
     chosen = frozenset(order[k] for k in _mask_indices(best_mask))
-    return SolverResult(
-        feasible=True,
-        chosen=chosen,
-        achieved_weight=inst.subset_weight(chosen),
-        achieved_profit=best_p,
-    )
+    return _witness(inst, chosen, best_p, "solve.mim")
 
 
 def solve_dp_by_weight(inst: KnapsackInstance) -> SolverResult:
-    """Weight-indexed dynamic program with per-item decision bitmasks for
-    witness reconstruction.  Ties prefer leaving an item out."""
-    capacity = inst.capacity
-    if capacity > DP_CAPACITY_LIMIT:
-        raise GuardError(
-            "solve.dp", f"capacity {capacity} exceeds limit {DP_CAPACITY_LIMIT}"
-        )
-    n = len(inst.items)
+    """Weight-indexed dynamic program: cell ``w`` keeps the best profit at
+    weight exactly ``w`` and the bitmask of a subset reaching it.  Ties
+    prefer leaving an item out, and the witness is the lightest best cell."""
+    n, capacity = len(inst.items), inst.capacity
+    cells = (n + 1) * (capacity + 1)
+    if cells > DP_CELL_LIMIT:
+        raise GuardError("solve.dp", f"{n} items at capacity {capacity}: {cells} cells, "
+                         f"limit {DP_CELL_LIMIT}")
     dp = [-1] * (capacity + 1)
     dp[0] = 0
-    taken = [0] * n
+    masks = [0] * (capacity + 1)
     for i, it in enumerate(inst.items):
-        wi, pi = it.weight, it.profit
-        mark = 0
+        wi, pi, bit = it.weight, it.profit, 1 << i
         for w in range(capacity, wi - 1, -1):
             prev = dp[w - wi]
             if prev >= 0 and prev + pi > dp[w]:
                 dp[w] = prev + pi
-                mark |= 1 << w
-        taken[i] = mark
+                masks[w] = masks[w - wi] | bit
 
     best_p = max(dp)
     if best_p < inst.target:
         return SolverResult(feasible=False)
-    w = dp.index(best_p)
-    chosen = set()
-    for i in range(n - 1, -1, -1):
-        if (taken[i] >> w) & 1:
-            chosen.add(i)
-            w -= inst.items[i].weight
-    if w != 0:
-        raise InternalError("solve.dp", f"witness reconstruction left weight {w}")
-    chosen = frozenset(chosen)
-    achieved_w = inst.subset_weight(chosen)
-    achieved_p = inst.subset_profit(chosen)
-    if achieved_p != best_p:
-        raise InternalError(
-            "solve.dp", f"witness profit {achieved_p} differs from optimum {best_p}"
-        )
-    return SolverResult(
-        feasible=True,
-        chosen=chosen,
-        achieved_weight=achieved_w,
-        achieved_profit=achieved_p,
-    )
+    return _witness(inst, _mask_indices(masks[dp.index(best_p)]), best_p, "solve.dp")
 
 
 def pick_oracle(inst: KnapsackInstance):

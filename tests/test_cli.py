@@ -88,6 +88,38 @@ class TestSizeGuards:
         assert "Traceback" not in err
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("items", [0, 30])
+    def test_dp_guard_before_sizing(self, tmp_path, capsys, items):
+        # the DP counts its cells before it allocates any of them
+        src = tmp_path / "k.json"
+        dump_instance(KnapsackInstance((Item(1, 1),) * items, 10**12, 1), src)
+        tracemalloc.start()
+        try:
+            assert main(["solve", "--method", "dp", str(src)]) == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.startswith("guard[solve.dp]")
+        assert "Traceback" not in err
+        assert peak < 1 << 20
+
+    def test_verify_trials_cap_per_scale(self, capsys, monkeypatch):
+        # (16, 2) accepts far fewer trials than (2, 1); one over its cap
+        # exits before the first pattern is drawn
+        import fewweights.cli as cli
+
+        def no_pattern(*args):
+            raise AssertionError("a pattern ran")
+
+        monkeypatch.setattr(cli, "gen_rss", no_pattern)
+        trials = cli._VERIFY_SCALES[16, 2] + 1
+        argv = ["verify", "compose", "--t", "16", "--n", "2", "--trials", str(trials)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("guard[verify.trials]")
+        assert captured.out == ""
+
     def test_no_instance_keeps_its_guard(self, capsys):
         assert main(["gen", "rss", "--n", str(10**18), "--no"]) == 3
         assert capsys.readouterr().err.startswith("guard[gen.x3c-no]")
@@ -429,6 +461,45 @@ class TestInternalErrors:
         assert main(["kernelize", str(src)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error[kernel.reduce-sign]")
+        assert "Traceback" not in err
+
+
+class TestWitnessRule:
+    """A witness that misses its search's optimum is a failed post-condition:
+    exit 1, never a feasible line with inconsistent totals."""
+
+    @pytest.mark.parametrize("method", ["brute", "mim", "dp"])
+    def test_short_witness_exits_1(self, tmp_path, capsys, monkeypatch, method):
+        import fewweights.solvers as solvers
+
+        indices = solvers._mask_indices
+        monkeypatch.setattr(
+            solvers, "_mask_indices", lambda mask: indices(mask) - {max(indices(mask))}
+        )
+        src = tmp_path / "k.json"
+        dump_instance(KnapsackInstance((Item(3, 5), Item(2, 4)), 5, 9), src)
+        assert main(["solve", "--method", method, "--witness", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[solve.{method}]")
+        assert "Traceback" not in err
+
+    def test_grouped_short_witness_exits_1(self, tmp_path, capsys, monkeypatch):
+        import dataclasses
+
+        import fewweights.kernel as kernel
+
+        solve = kernel.solve_meet_in_middle
+
+        def short(inst):
+            res = solve(inst)
+            return dataclasses.replace(res, chosen=res.chosen - {max(res.chosen)})
+
+        monkeypatch.setattr(kernel, "solve_meet_in_middle", short)
+        src = tmp_path / "k.json"
+        dump_instance(KnapsackInstance((Item(3, 5), Item(2, 4)), 5, 9), src)
+        assert main(["solve", "--method", "grouped-bb", "--witness", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[kernel.witness]")
         assert "Traceback" not in err
 
 

@@ -14,7 +14,7 @@ from fewweights.generators import gen_rss
 from fewweights.kernel import group, solve_grouped
 from fewweights.solvers import (
     BRUTE_FORCE_LIMIT,
-    DP_CAPACITY_LIMIT,
+    DP_CELL_LIMIT,
     pick_oracle,
     solve_brute_force,
     solve_dp_by_weight,
@@ -133,6 +133,17 @@ class TestDeterminism:
         inst = KnapsackInstance((Item(2, 5), Item(1, 5)), 2, 5)
         assert solve_meet_in_middle(inst).chosen == frozenset({0})
 
+    def test_dp_tie_leaves_item_out(self):
+        # {0} and {1, 2} both reach weight 3 and profit 5; item 2 would only
+        # tie cell 3, so the cell keeps {0}
+        inst = KnapsackInstance((Item(3, 5), Item(1, 2), Item(2, 3)), 3, 5)
+        res = solve_dp_by_weight(inst)
+        assert res.chosen == frozenset({0})
+        assert (res.achieved_weight, res.achieved_profit) == (3, 5)
+        # equal profits at weights 1 and 2: the lightest such cell is the witness
+        inst = KnapsackInstance((Item(2, 4), Item(1, 4)), 2, 4)
+        assert solve_dp_by_weight(inst).chosen == frozenset({1})
+
     def test_mim_original_indices(self):
         # descending weights: the split sees the items reversed, and the
         # unique optimum {1, 4} would read {0, 3} without the map back
@@ -178,9 +189,11 @@ class TestGuards:
         assert res.feasible and len(res.chosen) == 100
 
     def test_dp_capacity_limit(self):
-        inst = KnapsackInstance((Item(1, 1),), DP_CAPACITY_LIMIT + 1, 1)
-        with pytest.raises(GuardError):
+        # the limit counts (items + 1) * (capacity + 1) cells, not capacity
+        inst = KnapsackInstance((Item(1, 1),), DP_CELL_LIMIT // 2, 1)
+        with pytest.raises(GuardError) as exc:
             solve_dp_by_weight(inst)
+        assert exc.value.code == "solve.dp"
 
     def test_pick_oracle(self):
         assert pick_oracle(KnapsackInstance((), 0, 0))[0] == "mim"

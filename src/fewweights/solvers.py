@@ -4,7 +4,8 @@ These solvers know nothing about how an instance was built; they enumerate.
 All three return a maximum-profit witness so that maximality-based arguments
 can be exercised, and all arithmetic is plain Python integers.  Each guards
 its own cost: brute force by items, meet-in-the-middle by front entries, the
-DP by the cells of its table, items times capacities.
+DP by the cells of its table, items times capacities, counted again for
+every 2**12 items its masks span.
 
 All three recompute a feasible result's totals from its witness, and one
 over the capacity or off the search's optimum raises ``InternalError``.
@@ -32,10 +33,12 @@ BRUTE_FORCE_LIMIT = 25
 # drops nothing, stay within it in about 3 s at 425 MB peak RSS (Python 3.11,
 # 2 vCPUs); an entry costs more with longer masks and larger values
 MEET_IN_MIDDLE_BUDGET = 2**23
-# cells (items + 1) * (capacity + 1) the DP may fill; at the limit, 4095
-# unit-weight items with profits 1..4095, each raising every cell it reaches,
-# take 2.6 s (4.2 s with profits 2**i), and 0 items at capacity 2**24 - 1
-# peak at 272 MB RSS (Python 3.11, 2 vCPUs)
+# cells (items + 1) * (capacity + 1) the DP may fill, counted once more per
+# 2**12 items of item-mask width; at the limit, unit-weight items with rising
+# profits take 2.0-3.1 s for 4095 items at capacity 4095 (5.1 s with profits
+# 2**i, whose width the limit does not count), 1.6-2.7 s for 8191 items at
+# capacity 1023 and 0.8 s for 65,535 at capacity 15, under 25 MB RSS
+# (Python 3.11, 2 vCPUs)
 DP_CELL_LIMIT = 2**24
 
 # chunk size for the brute-force scan; bounds peak memory at ~2**18 entries
@@ -55,14 +58,8 @@ def _mask_sums(items) -> tuple[list[int], list[int]]:
 
 
 def _mask_indices(mask: int) -> frozenset[int]:
-    out = []
-    pos = 0
-    while mask:
-        if mask & 1:
-            out.append(pos)
-        mask >>= 1
-        pos += 1
-    return frozenset(out)
+    # one pass over the binary digits, lowest bit first
+    return frozenset(i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1")
 
 
 def _witness(inst: KnapsackInstance, chosen, optimum: int, code: str) -> SolverResult:
@@ -215,19 +212,21 @@ def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
 
 def solve_dp_by_weight(inst: KnapsackInstance) -> SolverResult:
     """Weight-indexed dynamic program: cell ``w`` keeps the best profit at
-    weight exactly ``w`` and the bitmask of a subset reaching it.  Ties
-    prefer leaving an item out, and the witness is the lightest best cell."""
+    weight exactly ``w`` and the bitmask of a subset reaching it, up to the
+    capacity or the total item weight, whichever is lower.  Ties prefer
+    leaving an item out, and the witness is the lightest best cell."""
     n, capacity = len(inst.items), inst.capacity
-    cells = (n + 1) * (capacity + 1)
+    cells = (n + 1) * (capacity + 1) * (n // 2**12 + 1)
     if cells > DP_CELL_LIMIT:
         raise GuardError("solve.dp", f"{n} items at capacity {capacity}: {cells} cells, "
                          f"limit {DP_CELL_LIMIT}")
-    dp = [-1] * (capacity + 1)
+    top = min(capacity, sum(it.weight for it in inst.items))
+    dp = [-1] * (top + 1)
     dp[0] = 0
-    masks = [0] * (capacity + 1)
+    masks = [0] * (top + 1)
     for i, it in enumerate(inst.items):
         wi, pi, bit = it.weight, it.profit, 1 << i
-        for w in range(capacity, wi - 1, -1):
+        for w in range(top, wi - 1, -1):
             prev = dp[w - wi]
             if prev >= 0 and prev + pi > dp[w]:
                 dp[w] = prev + pi

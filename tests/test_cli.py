@@ -104,6 +104,15 @@ class TestSizeGuards:
         assert "Traceback" not in err
         assert peak < 1 << 20
 
+    def test_dp_guard_counts_mask_width(self, tmp_path, capsys):
+        # 2**24 cells, but every cell keeps a mask as wide as 65,535 items
+        src = tmp_path / "k.json"
+        dump_instance(KnapsackInstance((Item(1, 1),) * 65535, 255, 1), src)
+        assert main(["solve", "--method", "dp", str(src)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("guard[solve.dp]")
+        assert "Traceback" not in err
+
     def test_verify_trials_cap_per_scale(self, capsys, monkeypatch):
         # (16, 2) accepts far fewer trials than (2, 1); one over its cap
         # exits before the first pattern is drawn

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,19 @@ class TestGuards:
         with pytest.raises(GuardError) as exc:
             solve_dp_by_weight(inst)
         assert exc.value.code == "solve.dp"
+
+    def test_dp_table_stops_at_total_weight(self):
+        # a capacity far above the total weight allocates only the cells
+        # the items reach
+        inst = KnapsackInstance((Item(2, 5),), DP_CELL_LIMIT // 2 - 1, 5)
+        tracemalloc.start()
+        try:
+            res = solve_dp_by_weight(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (res.chosen, res.achieved_weight, res.achieved_profit) == ({0}, 2, 5)
+        assert peak < 1 << 20
 
     def test_pick_oracle(self):
         assert pick_oracle(KnapsackInstance((), 0, 0))[0] == "mim"

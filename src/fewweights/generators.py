@@ -198,7 +198,9 @@ def gen_knapsack(
     profit_column = profits + [rng.choice(profits) for _ in range(n_items - p_distinct)]
     rng.shuffle(weight_column)
     rng.shuffle(profit_column)
-    items = tuple(Item(w, p) for w, p in zip(weight_column, profit_column))
+    pairs = list(zip(weight_column, profit_column))
+    shared = {pair: Item(*pair) for pair in set(pairs)}  # one Item per distinct pair
+    items = tuple(map(shared.__getitem__, pairs))
     capacity = rng.randrange(sum(weight_column) + 1)
     target = rng.randrange(sum(profit_column) + 1)
     return KnapsackInstance(items, capacity, target)

@@ -233,6 +233,10 @@ def kernelize_with_report(inst: KnapsackInstance):
     are those of the program that is left.
     """
     g = group(inst)
+    # instance_bits(inst), summed per class rather than per item
+    input_bits = (inst.capacity.bit_length() or 1) + (inst.target.bit_length() or 1)
+    for w, p, members in g.classes:
+        input_bits += len(members) * ((w.bit_length() or 1) + (p.bit_length() or 1))
     gain = sum(len(members) * p for w, p, members in g.classes if w == 0)
     g = GroupedInstance(
         tuple(c for c in g.classes if c[0] > 0 and c[1] > 0),
@@ -250,7 +254,7 @@ def kernelize_with_report(inst: KnapsackInstance):
     report = {
         "r": r,
         "branch": branch,
-        "input_bits": instance_bits(inst),
+        "input_bits": input_bits,
         "output_bits": instance_bits(out),
     }
     return out, report

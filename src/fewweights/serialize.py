@@ -10,6 +10,10 @@ constructors), so the two failure classes stay distinguishable by error code.
 The interface is four functions: ``instance_to_obj``/``instance_from_obj``
 between instances and JSON objects, ``dump_instance``/``load_instance`` through
 files.  Only ``instance_to_obj`` can strip the labels of knapsack items.
+
+Loading a knapsack instance builds one frozen ``Item`` per distinct unlabeled
+(weight, profit) pair, so equal unlabeled items may be a single shared object;
+a labeled item always gets an object of its own.
 """
 
 from __future__ import annotations
@@ -122,12 +126,23 @@ def _knapsack_to_obj(inst: KnapsackInstance, strip_labels: bool) -> dict:
 
 def _knapsack_from_obj(obj: dict) -> KnapsackInstance:
     items = []
+    # Unlabeled items with the same weight and profit strings share one Item.
+    # A pair enters only once it has decoded, so a bad entry always takes the
+    # checked path and raises what it would raise on its own.
+    shared: dict[tuple[str, str], Item] = {}
     for entry in _expect(obj, "items", list):
         if not isinstance(entry, dict):
             raise SchemaError("schema.item", "item must be an object")
-        items.append(
-            Item(_nat(entry, "weight"), _nat(entry, "profit"), _label_from_obj(entry.get("label")))
-        )
+        w, p = entry.get("weight"), entry.get("profit")
+        plain = type(w) is str and type(p) is str and entry.get("label") is None
+        item = shared.get((w, p)) if plain else None
+        if item is None:
+            item = Item(
+                _nat(entry, "weight"), _nat(entry, "profit"), _label_from_obj(entry.get("label"))
+            )
+            if plain:
+                shared[w, p] = item
+        items.append(item)
     return KnapsackInstance(tuple(items), _nat(obj, "capacity"), _nat(obj, "target"))
 
 

@@ -108,6 +108,17 @@ class TestGenKnapsack:
         assert gen_knapsack(8, 2, 3, 50, 4) == gen_knapsack(8, 2, 3, 50, 4)
         assert gen_knapsack(8, 2, 3, 50, 4) != gen_knapsack(8, 2, 3, 50, 5)
 
+    def test_pinned_output(self):
+        inst = gen_knapsack(8, 2, 3, 50, 4)
+        pairs = [(28, 38), (28, 26), (28, 26), (28, 29), (28, 29), (28, 29), (32, 29), (32, 26)]
+        assert [(it.weight, it.profit) for it in inst.items] == pairs
+        assert (inst.capacity, inst.target) == (43, 138)
+
+    def test_equal_items_are_one_object(self):
+        inst = gen_knapsack(200, 2, 3, 50, 6)
+        pairs = {(it.weight, it.profit) for it in inst.items}
+        assert len({id(it) for it in inst.items}) == len(pairs)
+
     def test_bounds_inside_totals(self):
         inst = gen_knapsack(10, 2, 2, 30, 2)
         assert inst.capacity <= sum(it.weight for it in inst.items)

@@ -366,6 +366,19 @@ class TestKernelize:
         assert report["r"] == 1
         assert report["input_bits"] == instance_bits(inst)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from([0, 1, 5, 2**70]), st.sampled_from([0, 3, 2**65])), max_size=12),
+        st.sampled_from([0, 1, 2**80]),
+        st.sampled_from([0, 2, 2**90]),
+    )
+    def test_report_input_bits_counts_every_item(self, pairs, capacity, target):
+        # classes of zero weight or zero profit leave the program after the
+        # count is taken, so they still count
+        inst = KnapsackInstance(tuple(Item(w, p) for w, p in pairs), capacity, target)
+        _, report = kernelize_with_report(inst)
+        assert report["input_bits"] == instance_bits(inst)
+
 
 # naturals with zero drawn often: zero is the one value whose bit length is raised
 _NAT = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 2**200))

@@ -112,13 +112,10 @@ class Item:
     label: Label | None = None
 
     def __post_init__(self):
-        # ``type(x) is int`` settles almost every item; the isinstance test
-        # still admits int subclasses other than bool
-        w = self.weight
-        if type(w) is not int and (not isinstance(w, int) or isinstance(w, bool)):
+        w, p = self.weight, self.profit
+        if not isinstance(w, int) or isinstance(w, bool):
             raise InvariantError("item.weight", "item weight must be an int")
-        p = self.profit
-        if type(p) is not int and (not isinstance(p, int) or isinstance(p, bool)):
+        if not isinstance(p, int) or isinstance(p, bool):
             raise InvariantError("item.profit", "item profit must be an int")
         if w < 0:
             raise InvariantError("item.weight", f"negative weight {w}")

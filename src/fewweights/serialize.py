@@ -14,6 +14,9 @@ files.  Only ``instance_to_obj`` can strip the labels of knapsack items.
 Loading a knapsack instance builds one frozen ``Item`` per distinct unlabeled
 (weight, profit) pair, so equal unlabeled items may be a single shared object;
 a labeled item always gets an object of its own.
+
+Errors from ``load_instance`` do not name the file; the CLI, which knows what
+it was given, adds the path to every load error once.
 """
 
 from __future__ import annotations
@@ -47,15 +50,6 @@ def _decode_nat(field: str, v) -> int:
 
 
 def _nat(obj: dict, field: str) -> int:
-    """``_decode_nat(field, _expect(obj, field, str))``, with the test for a
-    well-formed value done inline: a large instance reads thousands of these.
-    A value that fails it takes the slow path, which raises the error."""
-    v = obj.get(field)
-    if type(v) is str and v.isascii() and v.isdigit() and (len(v) == 1 or v[0] != "0"):
-        try:
-            return int(v)
-        except ValueError:
-            pass
     return _decode_nat(field, _expect(obj, field, str))
 
 
@@ -233,7 +227,7 @@ def load_instance(path):
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SchemaError("schema.json", f"{path}: {exc}") from exc
+        raise SchemaError("schema.json", str(exc)) from exc
     except RecursionError:
-        raise SchemaError("schema.json", f"{path}: JSON nested too deeply") from None
+        raise SchemaError("schema.json", "JSON nested too deeply") from None
     return instance_from_obj(obj)

@@ -4,8 +4,8 @@ These solvers know nothing about how an instance was built; they enumerate.
 All three return a maximum-profit witness so that maximality-based arguments
 can be exercised, and all arithmetic is plain Python integers.  Each guards
 its own cost: brute force by items, meet-in-the-middle by front entries, the
-DP by the cells of its table, items times capacities, counted again for
-every 2**12 items its masks span.
+DP by the cells of its table, items times capacities.  The last two count
+again for the width of what each entry or cell holds.
 
 All three recompute a feasible result's totals from its witness, and one
 over the capacity or off the search's optimum raises ``InternalError``.
@@ -28,17 +28,19 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 25
-# front entries meet-in-the-middle may read and keep over all extensions;
-# 40 items of weight = profit = 2**i with target 0, where the profit bound
-# drops nothing, stay within it in about 3 s at 425 MB peak RSS (Python 3.11,
-# 2 vCPUs); an entry costs more with longer masks and larger values
+# front entries meet-in-the-middle may read and keep over all extensions, each
+# counted once more per 2**10 bits of capacity plus total profit; with target
+# 0, where the profit bound drops nothing, 40 items of weight = profit = 2**i
+# stay within it in about 3 s at 425 MB peak RSS, and 30 items of weight 2**i
+# and profit 2**(40000 + i) in 0.6 s at 361 MB (Python 3.11, 2 vCPUs)
 MEET_IN_MIDDLE_BUDGET = 2**23
 # cells (items + 1) * (capacity + 1) the DP may fill, counted once more per
-# 2**12 items of item-mask width; at the limit, unit-weight items with rising
-# profits take 2.0-3.1 s for 4095 items at capacity 4095 (5.1 s with profits
-# 2**i, whose width the limit does not count), 1.6-2.7 s for 8191 items at
-# capacity 1023 and 0.8 s for 65,535 at capacity 15, under 25 MB RSS
-# (Python 3.11, 2 vCPUs)
+# 2**12 items of item-mask width and per 2**12 bits of total profit; at the
+# limit, unit-weight items with rising profits take 2.0-3.1 s for 4095 items
+# at capacity 4095 (5.1 s with profits 2**i), 1.6-2.7 s for 8191 items at
+# capacity 1023 and 0.8 s for 65,535 at capacity 15, under 25 MB RSS, and 18
+# items of weight 2**i and profit 2**100000 + i take 0.7 s at capacity 35,000,
+# at 464 MB RSS (Python 3.11, 2 vCPUs)
 DP_CELL_LIMIT = 2**24
 
 # chunk size for the brute-force scan; bounds peak memory at ~2**18 entries
@@ -160,9 +162,9 @@ def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
     built, the entry without the later-added item is kept on equal (weight,
     profit).  ``chosen`` holds the original item indices.
 
-    Cost is counted in front entries read and kept, not items: an extension
-    keeps at most twice what it reads, and one that could push the total
-    past ``MEET_IN_MIDDLE_BUDGET`` is refused before it runs.
+    Cost is counted in front entries read and kept, not items, each weighted
+    by value width: an extension keeps at most twice what it reads, and one
+    that could push the total past ``MEET_IN_MIDDLE_BUDGET`` is refused first.
     """
     n = len(inst.items)
     capacity, target = inst.capacity, inst.target
@@ -174,9 +176,10 @@ def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
     suffix = [(0, 0, 0)]
     lo, hi = 0, n - 1
     spent = 0
+    cost = 1 + (capacity.bit_length() + prefix_rest.bit_length()) // 2**10
     while lo <= hi:
         front = min(prefix, suffix, key=len)
-        if spent + 3 * len(front) > MEET_IN_MIDDLE_BUDGET:
+        if spent + 3 * len(front) * cost > MEET_IN_MIDDLE_BUDGET:
             raise GuardError(
                 "solve.mim", f"{n} items need over {MEET_IN_MIDDLE_BUDGET} front entries"
             )
@@ -188,7 +191,7 @@ def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
             suffix_rest -= items[hi].profit
             suffix = grown = _extend_front(front, hi, items[hi], capacity, target - suffix_rest)
             hi -= 1
-        spent += len(front) + len(grown)
+        spent += (len(front) + len(grown)) * cost
 
     best_p = -1
     best_mask = 0
@@ -216,7 +219,8 @@ def solve_dp_by_weight(inst: KnapsackInstance) -> SolverResult:
     capacity or the total item weight, whichever is lower.  Ties prefer
     leaving an item out, and the witness is the lightest best cell."""
     n, capacity = len(inst.items), inst.capacity
-    cells = (n + 1) * (capacity + 1) * (n // 2**12 + 1)
+    profit_bits = sum(it.profit for it in inst.items).bit_length()
+    cells = (n + 1) * (capacity + 1) * (n // 2**12 + profit_bits // 2**12 + 1)
     if cells > DP_CELL_LIMIT:
         raise GuardError("solve.dp", f"{n} items at capacity {capacity}: {cells} cells, "
                          f"limit {DP_CELL_LIMIT}")

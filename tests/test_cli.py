@@ -21,6 +21,19 @@ from fewweights.generators import gen_knapsack, gen_rss
 
 
 @pytest.fixture
+def no_digit_limit():
+    # 40,000-bit values have more decimal digits than the interpreter's
+    # default int/str limit allows
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.fixture
 def rss_files(tmp_path):
     yes = tmp_path / "yes.json"
     no = tmp_path / "no.json"
@@ -113,6 +126,22 @@ class TestSizeGuards:
         assert err.startswith("guard[solve.dp]")
         assert "Traceback" not in err
 
+    def test_dp_guard_counts_profit_width(self, tmp_path, capsys, no_digit_limit):
+        # under 2**24 cells, but every cell would keep a 40,000-bit profit
+        src = tmp_path / "k.json"
+        items = tuple(Item(2**i, 2**40000 + i) for i in range(20))
+        dump_instance(KnapsackInstance(items, 786_432, 1), src)
+        tracemalloc.start()
+        try:
+            assert main(["solve", "--method", "dp", str(src)]) == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.startswith("guard[solve.dp]")
+        assert "Traceback" not in err
+        assert peak < 1 << 20
+
     def test_verify_trials_cap_per_scale(self, capsys, monkeypatch):
         # (16, 2) accepts far fewer trials than (2, 1); one over its cap
         # exits before the first pattern is drawn
@@ -156,6 +185,19 @@ _BROKEN = {
     "subsetsum": {"kind": "subsetsum", "numbers": ["3", "05"], "target": "8"},
 }
 
+# an x3c instance whose element 4 lies outside 1..3n
+_BAD_X3C = {"kind": "x3c", "n": 1, "triples": [[1, 2, 3], [1, 2, 3], [1, 2, 4]]}
+# input files that fail to load, by error code; None is a well-formed file of
+# a kind the command does not read
+_LOAD_ERRORS = [
+    pytest.param("schema.json", b'{"kind": "knapsack", "items": [', id="truncated"),
+    pytest.param("schema.json", b'{"kind": "knapsack\xff"}', id="utf8"),
+    pytest.param("schema.json", b"[" * 100_000, id="nested"),
+    pytest.param("schema.decimal", json.dumps(_BROKEN["knapsack"]).encode(), id="decimal"),
+    pytest.param("x3c.element", json.dumps(_BAD_X3C).encode(), id="element"),
+    pytest.param("schema.kind", None, id="kind"),
+]
+
 
 class TestBoundary:
     """Every command loads its files through one checked loader."""
@@ -187,10 +229,22 @@ class TestBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error[schema.") and f"]: {src}: " in err
 
+    @pytest.mark.parametrize("prefix, want", _COMMANDS)
+    @pytest.mark.parametrize("code, data", _LOAD_ERRORS)
+    def test_load_error_names_the_file_once(self, tmp_path, capsys, prefix, want, code, data):
+        src = tmp_path / "in.json"
+        if data is None:
+            dump_instance(_FILES["x3c" if want != "x3c" else "knapsack"], src)
+        else:
+            src.write_bytes(data)
+        assert main(self._argv(prefix, src, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{code}]: {src}: ")
+        assert err.count(str(src)) == 1
+
     def test_invariant_error_names_the_file(self, tmp_path, capsys):
         src = tmp_path / "bad.json"
-        doc = {"kind": "x3c", "n": 1, "triples": [[1, 2, 3], [1, 2, 3], [1, 2, 4]]}
-        src.write_text(json.dumps(doc))
+        src.write_text(json.dumps(_BAD_X3C))
         assert main(["reduce", "x3c-to-rss", str(src)]) == 2
         assert capsys.readouterr().err.startswith(f"error[x3c.element]: {src}: ")
 
@@ -327,6 +381,17 @@ class TestSolve:
         # fronts double with each item; at 48 items they once ran out of
         # memory.  Target 0 turns the profit bound off.
         src = self._doubling_file(tmp_path, 0)
+        assert main(["solve", str(src), "--method", "mim"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("guard[solve.mim]")
+        assert "Traceback" not in err
+
+    def test_mim_budget_counts_value_width(self, tmp_path, capsys, no_digit_limit):
+        # 38 doubling items fit the entry budget, but not with 40,000-bit
+        # profits in every entry
+        items = tuple(Item(2**i, 2 ** (40000 + i)) for i in range(38))
+        src = tmp_path / "wide.json"
+        dump_instance(KnapsackInstance(items, 2**38, 0), src)
         assert main(["solve", str(src), "--method", "mim"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("guard[solve.mim]")

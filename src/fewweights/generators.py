@@ -9,6 +9,8 @@ ground truth.
 
 from __future__ import annotations
 
+import struct
+
 from .core import (
     GuardError,
     InvariantError,
@@ -28,10 +30,30 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+# words mixed at once at most; past this the cost per word stops falling and
+# a bigger block only holds more memory
+_BLOCK = 256
+
+
+def _lanes(count: int):
+    """``count``, then lanes 0..count-1 holding 1, (i + 1)·gamma mod 2^64 and
+    2^64 - 1 in lane i, and the little-endian unpacking of each lane's low word."""
+    layout = struct.Struct("<" + "Q8x" * count)
+    ones = int.from_bytes(layout.pack(*[1] * count), "little")
+    steps = [(i + 1) * _GAMMA & _MASK64 for i in range(count)]
+    ramp = int.from_bytes(layout.pack(*steps), "little")
+    return count, ones, ramp, ones * _MASK64, layout.unpack
+
+
+# _LANES[c] for 2 <= c <= _BLOCK: the lanes of the least power of two >= c
+_LANES = [None, None] + [
+    lanes for k in range(1, _BLOCK.bit_length()) for lanes in [_lanes(1 << k)] * (1 << k - 1)
+]
 _RESAMPLE_BUDGET = 10**5
 # Largest yes-instance sizes, in n or in items times 64-bit words per value;
-# `fewweights gen` at each (Python 3.11, 2 vCPUs) takes 1.9 s for x3c, 2.4 s for
-# rss, and for knapsack 0.6 s, or 3.0 s with every value distinct and
+# `fewweights gen` at each (Python 3.11, 2 vCPUs) takes 1.4-1.7 s for x3c, 2.4 s
+# for rss, and for knapsack 0.5 s, or 1.5 s with every value distinct and
 # max_value = items, where the distinct draws collect coupons
 _X3C_SIZE_LIMIT = 2**15
 _RSS_SIZE_LIMIT = 400
@@ -49,17 +71,24 @@ class SplitMix64:
 
     state' = state + 0x9E3779B97F4A7C15;  the output mixes the new state with
     two xor-shift-multiply rounds.  Same seed, same byte stream, everywhere.
+
+    After k words the state is seed + k·0x9E3779B97F4A7C15 mod 2^64, so the
+    states of a block of words are known at once, and the block is mixed as
+    one Python int with each word in the low half of its own 128-bit lane.
+    A lane never carries into the next: a state lane is below 2^65 before it
+    is reduced, each shift is masked back to the low 64 bits of every lane
+    before the xor, so no lane's bits reach another's, and a 64-bit lane
+    times a 64-bit constant stays below 2^128.  A batch of draws mixes words
+    a block at a time and hands the words it did not use back by stepping
+    the state back, so it reads the stream a word-at-a-time loop would.
     """
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
     def next_word(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        self._state = (self._state + _GAMMA) & _MASK64
+        return _mix(self._state, _MASK64)
 
     def randrange(self, bound: int) -> int:
         """Uniform draw from 0..bound-1 by unbiased rejection; bounds beyond
@@ -81,12 +110,56 @@ class SplitMix64:
 
     def shuffle(self, seq: list) -> None:
         """In-place Fisher-Yates."""
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randrange(i + 1)
+        i = len(seq)
+        for j in self._draws(range(i, 1, -1)):
+            i -= 1
             seq[i], seq[j] = seq[j], seq[i]
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]
+
+    def choices(self, seq, k: int) -> list:
+        """``k`` independent draws from ``seq``: ``[choice(seq) for _ in range(k)]``."""
+        return [seq[j] for j in self._draws([len(seq)] * k)]
+
+    def _draws(self, bounds) -> list[int]:
+        """``[randrange(b) for b in bounds]``, with the words for bounds of
+        2 to 2^64 - 1 mixed a block at a time."""
+        out: list[int] = []
+        words: tuple[int, ...] = ()
+        pos = have = 0
+        end = self._state  # state of the last word mixed
+        for bound in bounds:
+            if not 1 < bound <= _MASK64:
+                self._state = (end - (have - pos) * _GAMMA) & _MASK64
+                out.append(self.randrange(bound))
+                words, pos, have, end = (), 0, 0, self._state
+                continue
+            shift = 64 - bound.bit_length()
+            while True:
+                if pos == have:
+                    # twice the words the remaining bounds need without rejection
+                    want = min(2 * (len(bounds) - len(out)), _BLOCK)
+                    have, ones, ramp, mask, unpack = _LANES[want]
+                    mixed = _mix((end * ones + ramp) & mask, mask)
+                    words = unpack(mixed.to_bytes(have << 4, "little"))
+                    end = (end + have * _GAMMA) & _MASK64
+                    pos = 0
+                value = words[pos] >> shift
+                pos += 1
+                if value < bound:
+                    break
+            out.append(value)
+        self._state = (end - (have - pos) * _GAMMA) & _MASK64
+        return out
+
+
+def _mix(z: int, mask: int) -> int:
+    """SplitMix64's output function on each 128-bit lane of ``z`` whose low
+    64 bits ``mask`` selects."""
+    z = ((z ^ ((z >> 30) & mask)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ ((z >> 27) & mask)) * 0x94D049BB133111EB) & mask
+    return z ^ ((z >> 31) & mask)
 
 
 def _random_partition_triples(rng: SplitMix64, n: int) -> list[tuple[int, int, int]]:
@@ -161,10 +234,11 @@ def _distinct_values(rng: SplitMix64, count: int, top: int) -> list[int]:
     seen: set[int] = set()
     out: list[int] = []
     while len(out) < count:
-        v = rng.randrange(top) + 1
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
+        # each draw adds at most one value, so none of these is one too many
+        for v in rng._draws([top] * (count - len(out))):
+            if v + 1 not in seen:
+                seen.add(v + 1)
+                out.append(v + 1)
     return out
 
 
@@ -194,8 +268,8 @@ def gen_knapsack(
     rng = SplitMix64(seed)
     weights = _distinct_values(rng, w_distinct, max_value)
     profits = _distinct_values(rng, p_distinct, max_value)
-    weight_column = weights + [rng.choice(weights) for _ in range(n_items - w_distinct)]
-    profit_column = profits + [rng.choice(profits) for _ in range(n_items - p_distinct)]
+    weight_column = weights + rng.choices(weights, n_items - w_distinct)
+    profit_column = profits + rng.choices(profits, n_items - p_distinct)
     rng.shuffle(weight_column)
     rng.shuffle(profit_column)
     pairs = list(zip(weight_column, profit_column))

@@ -181,7 +181,10 @@ def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
         front = min(prefix, suffix, key=len)
         if spent + 3 * len(front) * cost > MEET_IN_MIDDLE_BUDGET:
             raise GuardError(
-                "solve.mim", f"{n} items need over {MEET_IN_MIDDLE_BUDGET} front entries"
+                "solve.mim",
+                f"{n} items need over {MEET_IN_MIDDLE_BUDGET // cost} front entries,"
+                f" charged {cost} each for value width against a budget of"
+                f" {MEET_IN_MIDDLE_BUDGET}",
             )
         if front is prefix:
             prefix_rest -= items[lo].profit

@@ -396,6 +396,8 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("guard[solve.mim]")
         assert "Traceback" not in err
+        # 1 + (39 capacity bits + 40038 profit bits) // 2**10 = 40 per entry
+        assert "over 209715 front entries, charged 40 each" in err
 
     def test_mim_bound_empties_fronts(self, tmp_path, capsys):
         # a target above the total profit 2**48 - 1: the profit bound empties

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewweights.composition import count_distinct_profits, count_distinct_weights
 from fewweights.core import GuardError, InvariantError
@@ -12,6 +17,117 @@ from fewweights.generators import (
     gen_x3c,
 )
 from fewweights.reductions import rss_decide, x3c_has_exact_cover
+from fewweights.serialize import instance_to_obj
+
+_MASK64 = (1 << 64) - 1
+
+
+class ScalarSplitMix64:
+    """SplitMix64 one word per call: the reference the block mixer must match
+    word for word and state for state."""
+
+    def __init__(self, seed: int):
+        self.state = seed & _MASK64
+
+    def next_word(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def randrange(self, bound: int) -> int:
+        if bound == 1:
+            return 0
+        bits = bound.bit_length()
+        words = (bits + 63) // 64
+        while True:
+            value = 0
+            for _ in range(words):
+                value = (value << 64) | self.next_word()
+            value >>= 64 * words - bits
+            if value < bound:
+                return value
+
+    def shuffle(self, seq: list) -> None:
+        for i in range(len(seq) - 1, 0, -1):
+            j = self.randrange(i + 1)
+            seq[i], seq[j] = seq[j], seq[i]
+
+    def choice(self, seq):
+        return seq[self.randrange(len(seq))]
+
+    def choices(self, seq, k: int) -> list:
+        return [self.choice(seq) for _ in range(k)]
+
+
+# 2**k + 1 rejects almost half its draws; 2**64 and wider take several words
+_EDGE_BOUNDS = [1, 2, 3, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 2**130, 2**130 + 1, 2**5 + 1, 2**63 + 1]
+
+_BOUNDS = st.one_of(st.sampled_from(_EDGE_BOUNDS), st.integers(1, 2**140))
+_CALLS = st.one_of(
+    st.tuples(st.just("next_word")),
+    st.tuples(st.just("randrange"), _BOUNDS),
+    # a repeated run of mixed bounds: wide bounds between one-word ones hand
+    # words back mid-block, and long batches cross block boundaries
+    st.tuples(st.just("draws"), st.lists(_BOUNDS, min_size=1, max_size=4), st.integers(0, 150)),
+    st.tuples(st.just("shuffle"), st.integers(0, 600)),
+    st.tuples(st.just("choice"), st.integers(1, 5)),
+    st.tuples(st.just("choices"), st.integers(1, 5), st.integers(0, 600)),
+    # a range stands in for a long sequence; len() stops at 2**63 - 1
+    st.tuples(st.just("choices"), st.sampled_from([2**5 + 1, 2**62 + 1, 2**63 - 1]), st.integers(0, 300)),
+)
+
+
+def _call(rng, name, *args):
+    if name == "next_word":
+        return rng.next_word()
+    if name == "randrange":
+        return rng.randrange(*args)
+    if name == "draws":
+        bounds = args[0] * args[1]
+        if isinstance(rng, ScalarSplitMix64):
+            return [rng.randrange(b) for b in bounds]
+        return rng._draws(bounds)
+    if name == "shuffle":
+        seq = list(range(args[0]))
+        rng.shuffle(seq)
+        return seq
+    if name == "choice":
+        return rng.choice(range(args[0]))
+    return rng.choices(range(args[0]), args[1])
+
+
+def _digest(objs) -> str:
+    text = json.dumps(objs, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the canonical JSON of seeds 0-7, as the word-at-a-time generator
+# made them; any change to the byte stream changes these
+_PINNED_KNAPSACK = {
+    (4096, 2, 1, 2**64): "e31136ff462654694aecb9b1751732b6b8e7b78309fd1536aba1e69e2af3c045",
+    (4096, 1, 2, 2**64): "77e5dfbab1bcd19439f5d6b99e859e1ce51527f035f67145928e82592e36b6a9",
+    (30, 8, 8, 2**256): "ab1bc2f95ae699325acb9f3e7242b2561a5a4d00078db37d80a14f82fb53376b",
+    (500, 500, 500, 500): "e04776311e781517218e43839241a88aa0b41e05fba530f2a4cbdcb10b3c91de",
+    (3, 1, 1, 1): "d13b3cfc27495bccd497519660f07f779b734eb79cbcbe971637316444b48f85",
+}
+_PINNED_COVER = {
+    (gen_x3c, 1, True): "31b3340c8678eda1d69f453365c19d162f51733e9a6bf094675688ac182c3c58",
+    (gen_x3c, 2, True): "0c34bac6b32d81caab16244d9b071362b5613923d66ae70a810a9a3432664b01",
+    (gen_x3c, 2, False): "fcc336a3f468e791063ff1b93fd98c28a4ef70fcbc7ab9597773ea8a02c28fa3",
+    (gen_x3c, 3, True): "2274289a020e1d0d4c8cbb7f9ebebb9693279c12f92ee0c043b15fbe8a681b9a",
+    (gen_x3c, 3, False): "0c9433c1bb177374d1349f02595c3abdadc52285998c2cc2cc44c5279e57d327",
+    (gen_x3c, 5, True): "45b6fd61a1e78a319e80d49de474a04fbe90fbe15a4c7c0f89b111c252202e50",
+    (gen_rss, 1, True): "5919ae4c5497c9818e29453ea1639fdee1af5553dd1e514d2f91a6be2bfc16e9",
+    (gen_rss, 1, False): "7a39e1c7cc9d7321f7220bc9f5896e8f575cf81290bc171b96edb24789e159f2",
+    (gen_rss, 2, True): "b4ca325c01edceed681670564ef09cc04dafb087d4fd47215deb34708ea5528c",
+    (gen_rss, 2, False): "e5484b532897eadc8e1146dad5a4511ab718214e448e7ef2ed7ce420e09bfd72",
+    (gen_rss, 3, True): "a02a370370be8ccb36effd3d9ff162e30d44d0bac0aa0dfbff0d487da74e79fc",
+    (gen_rss, 3, False): "881851d9ddbfac937fcb77225e78a8aa19144b04b695018abb96d3c11f723e1c",
+    (gen_rss, 5, True): "564ca2a5457a0c40deca1f16a54aa262d5885c71f9911be06796d604b2e7918d",
+}
+_PINNED_EDGE_DRAWS = "7a3034727ef8c14f515ab3a5e61381da9e6832a4a8d54aa30e14afc115f747d1"
 
 
 class TestSplitMix64:
@@ -43,6 +159,44 @@ class TestSplitMix64:
         seq = list(range(20))
         rng.shuffle(seq)
         assert sorted(seq) == list(range(20)) and seq != list(range(20))
+
+    @given(seed=st.integers(0, _MASK64), calls=st.lists(_CALLS, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_reference(self, seed, calls):
+        fast, slow = SplitMix64(seed), ScalarSplitMix64(seed)
+        for call in calls:
+            assert _call(fast, *call) == _call(slow, *call), call
+            assert fast._state == slow.state, call
+
+    def test_one_element_choices_take_no_word(self):
+        rng = SplitMix64(5)
+        assert rng.choices(["x"], 1000) == ["x"] * 1000
+        assert rng._state == 5
+
+    def test_choices_of_empty_sequence(self):
+        assert SplitMix64(5).choices([], 0) == []
+        with pytest.raises(InvariantError):
+            SplitMix64(5).choices([], 1)
+
+    def test_edge_bound_draws_pinned(self):
+        draws = []
+        for seed in range(8):
+            rng = SplitMix64(seed)
+            draws.append([rng.randrange(b) for b in _EDGE_BOUNDS * 40] + [rng.next_word()])
+        assert _digest(draws) == _PINNED_EDGE_DRAWS
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("shape", list(_PINNED_KNAPSACK))
+    def test_knapsack(self, shape):
+        insts = [instance_to_obj(gen_knapsack(*shape, seed)) for seed in range(8)]
+        assert _digest(insts) == _PINNED_KNAPSACK[shape]
+
+    @pytest.mark.parametrize("case", list(_PINNED_COVER), ids=lambda c: f"{c[0].__name__}-{c[1]}-{c[2]}")
+    def test_cover(self, case):
+        gen, n, want_yes = case
+        insts = [instance_to_obj(gen(n, seed, want_yes)) for seed in range(8)]
+        assert _digest(insts) == _PINNED_COVER[case]
 
 
 class TestGenX3C:

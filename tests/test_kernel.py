@@ -399,3 +399,74 @@ class TestInstanceBits:
         inst = KnapsackInstance(tuple(Item(w, p) for w, p in pairs), capacity, target)
         numbers = [capacity, target, *(v for pair in pairs for v in pair)]
         assert instance_bits(inst) == sum(max(1, v.bit_length()) for v in numbers)
+
+
+# (items, w#, p#, value bits, seed) of a small gen_knapsack instance; w# and p#
+# are capped at the item count
+_SMALL_DRAW = st.tuples(
+    st.integers(2, 12), st.integers(1, 3), st.integers(1, 3), st.sampled_from([8, 64]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _small_instance(draw) -> KnapsackInstance:
+    n, w, p, bits, seed = draw
+    return gen_knapsack(n, min(w, n), min(p, n), 2**bits, seed)
+
+
+def _permuted(inst: KnapsackInstance, seed: int) -> KnapsackInstance:
+    items = list(inst.items)
+    random.Random(seed).shuffle(items)
+    return KnapsackInstance(tuple(items), inst.capacity, inst.target)
+
+
+class TestKernelMetamorphic:
+    """Transformations that cannot change the answer must not change the
+    kernel either; an approximate LLL or SDA step that breaks one shows here."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SMALL_DRAW, st.integers(0, 2**32 - 1))
+    def test_permuting_items_keeps_kernel(self, draw, perm_seed):
+        inst = _small_instance(draw)
+        assert kernelize(_permuted(inst, perm_seed)) == kernelize(inst)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SMALL_DRAW, st.integers(2, 999))
+    def test_scaling_weights_keeps_kernel(self, draw, k):
+        inst = _small_instance(draw)
+        scaled = KnapsackInstance(
+            tuple(Item(it.weight * k, it.profit) for it in inst.items), inst.capacity * k, inst.target
+        )
+        out = kernelize(scaled)
+        assert out == kernelize(inst)
+        assert solve_brute_force(out).feasible == solve_brute_force(inst).feasible
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SMALL_DRAW, st.integers(2, 999))
+    def test_scaling_profits_keeps_kernel(self, draw, k):
+        inst = _small_instance(draw)
+        scaled = KnapsackInstance(
+            tuple(Item(it.weight, it.profit * k) for it in inst.items), inst.capacity, inst.target * k
+        )
+        out = kernelize(scaled)
+        assert out == kernelize(inst)
+        assert solve_brute_force(out).feasible == solve_brute_force(inst).feasible
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SMALL_DRAW)
+    def test_kernelizing_twice_never_grows(self, draw):
+        inst = _small_instance(draw)
+        once = kernelize(inst)
+        twice = kernelize(once)
+        assert instance_bits(twice) <= instance_bits(once)
+        assert solve_brute_force(twice).feasible == solve_brute_force(inst).feasible
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SMALL_DRAW, st.integers(0, 2**32 - 1), st.sampled_from([solve_brute_force, solve_meet_in_middle]))
+    def test_solvers_ignore_item_order(self, draw, perm_seed, solver):
+        inst = _small_instance(draw)
+        want, got = solver(inst), solver(_permuted(inst, perm_seed))
+        assert got.feasible == want.feasible
+        if want.feasible:
+            # both report a maximum profit, whichever witness reaches it
+            assert got.achieved_profit == want.achieved_profit

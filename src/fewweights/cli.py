@@ -125,7 +125,7 @@ _SOLVERS = {
     "brute": solve_brute_force,
     "mim": solve_meet_in_middle,
     "dp": solve_dp_by_weight,
-    "grouped-bb": lambda inst: solve_grouped(group(inst)),
+    "grouped": lambda inst: solve_grouped(group(inst)),
 }
 
 

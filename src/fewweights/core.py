@@ -262,28 +262,32 @@ def membership_in_restricted_universe(a: int, n: int):
     exponents in ``1..3n`` (repeats allowed).
 
     Returns ``(True, (j1, j2, j3))`` with ascending witness exponents, or
-    ``(False, None)``.  Decided via the base-``3n+1`` digit expansion: member
-    iff digit 0 is zero, no digit exceeds 3, digits sum to 3, and no digit
-    sits beyond position ``3n``.
+    ``(False, None)``.  The base is at least 4, so three powers sum to less
+    than the next power, and the largest power ``<= a`` is in every such
+    sum: member iff three subtractions of the largest power left reach 0,
+    with every exponent in ``1..3n``.
     """
     if n < 1:
         raise InvariantError("universe.n", "size parameter must be >= 1")
-    if a <= 0:
-        return False, None
-    base = 3 * n + 1
-    digits = []
-    v = a
-    while v:
-        v, d = divmod(v, base)
-        digits.append(d)
-    if len(digits) > 3 * n + 1 or digits[0] != 0:
-        return False, None
-    if any(d > 3 for d in digits) or sum(digits) != 3:
+    m = 3 * n
+    base, top = m + 1, (m + 1) ** m
+    # above 3 * base**m the first exponent would exceed 3n
+    if a <= 0 or a > 3 * top:
         return False, None
     witness = []
-    for pos, d in enumerate(digits):
-        witness.extend([pos] * d)
-    return True, tuple(witness)
+    for _ in range(3):
+        if a < base:
+            return False, None
+        # lg base < top.bit_length() / m, so base**j <= 2**(a.bit_length() - 1)
+        # <= a at this first guess of j; the largest power is a step or two up
+        j = (a.bit_length() - 1) * m // top.bit_length()
+        power = base**j
+        while power * base <= a:
+            power *= base
+            j += 1
+        a -= power
+        witness.append(j)
+    return (False, None) if a else (True, tuple(reversed(witness)))
 
 
 def restricted_universe_size(n: int) -> int:

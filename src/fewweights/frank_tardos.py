@@ -1,6 +1,6 @@
 """Sign-preserving coefficient reduction via exact lattice basis reduction.
 
-Given a rational vector ``w`` and a norm budget ``N``, :func:`frank_tardos_reduce`
+Given an integer vector ``w`` and a norm budget ``N``, :func:`frank_tardos_reduce`
 returns an integer vector ``v`` with ``sign(w . b) == sign(v . b)`` for every
 integer vector ``b`` of l1-norm at most ``N``, and with ``max |v_i|`` bounded
 by ``2**(4 r**3) * N**(r**2 + 2 r)`` in dimension ``r``.
@@ -10,24 +10,23 @@ approximation ``p / q`` good enough that inner products with small ``b``
 cannot cross an integer boundary, then recurses on the approximation residue
 and stitches the levels together with a multiplier large enough that lower
 levels only ever break ties.  The approximation itself comes from LLL on the
-standard ``(r+1)``-dimensional lattice; all arithmetic is exact integer and
-reduced-rational arithmetic, with the LLL state kept as integer rows and
-``(numerator, denominator)`` pairs of ints rather than ``Fraction`` objects.
+standard ``(r+1)``-dimensional lattice.  Rows, approximations and levels are
+plain ints: a level's row ``w`` stands for ``w / m`` with ``m = max |w_i|``,
+and its residue is the row ``q * w - m * p``.  Only LLL's Gram-Schmidt state
+is rational, kept as reduced ``(numerator, denominator)`` pairs of ints.
 
 The reduction never makes a row longer.  Its fallback is the exact row: the
-vector over a common denominator, divided by the gcd of its entries, which
-keeps every sign.  A level whose unit vector has a common denominator within
-the multiplier bound ``Q`` is approximated exactly, without LLL; at the first
-level that makes the answer the exact row itself.  The levels keep a lower
-bound on the stitched row's largest entry, and the loop stops as soon as it
-reaches the exact row's, so LLL is never run for a row that cannot be
-shorter.  Either fallback row is no longer than the lattice row would be, so
-the size bound above still holds.
+vector divided by the gcd of its entries, which keeps every sign.  A level
+whose row, divided by its gcd, has its largest entry within the multiplier
+bound ``Q`` is approximated exactly, without LLL; at the first level that
+makes the answer the exact row itself.  The levels keep a lower bound on the
+stitched row's largest entry, and the loop stops as soon as it reaches the
+exact row's, so LLL is never run for a row that cannot be shorter.  Either
+fallback row is no longer than the lattice row would be, so the size bound
+above still holds.
 """
-
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 
@@ -35,7 +34,7 @@ from .core import InternalError, InvariantError
 
 __all__ = ["lll_reduce", "simultaneous_approximation", "frank_tardos_reduce"]
 
-_DELTA = Fraction(3, 4)
+_DELTA = (3, 4)
 
 
 def _ratio(num: int, den: int) -> tuple[int, int]:
@@ -110,7 +109,7 @@ def lll_reduce(basis) -> list[list[int]]:
     n = len(b)
     if n <= 1:
         return b
-    dn, dd = _DELTA.numerator, _DELTA.denominator
+    dn, dd = _DELTA
     mu, norms = _gram_schmidt(b)
 
     def size_reduce(k: int, l: int) -> None:
@@ -156,47 +155,45 @@ def lll_reduce(basis) -> list[list[int]]:
     return b
 
 
-def _multiplier_bound(r: int, eps: Fraction) -> Fraction:
-    """``Q = 2**ceil(r(r+1)/4) * eps**(-r)``: the largest multiplier
-    :func:`simultaneous_approximation` may return in dimension ``r``."""
-    return 2 ** -((-r * (r + 1)) // 4) * eps**-r
+def _multiplier_bound(r: int, k: int) -> int:
+    """``Q = 2**ceil(r(r+1)/4) * k**r``: the largest multiplier
+    :func:`simultaneous_approximation` may return in dimension ``r`` at
+    precision ``1/k``."""
+    return 2 ** -((-r * (r + 1)) // 4) * k**r
 
 
-def simultaneous_approximation(alpha, eps: Fraction):
-    """Integers ``(p, q)`` with ``|q * alpha_i - p_i| <= eps`` for all ``i``
-    and ``1 <= q <= 2**ceil(r(r+1)/4) * eps**(-r)``.
+def simultaneous_approximation(v, k: int):
+    """Integers ``(p, q)`` with ``k * |q * v_i - p_i * m| <= m`` for all
+    ``i``, where ``m = max |v_i|``, and ``1 <= q <= 2**ceil(r(r+1)/4) * k**r``:
+    ``p / q`` approximates ``v / m`` within ``1/k``.
 
-    ``alpha`` must satisfy ``max |alpha_i| <= 1`` and ``0 < eps < 1``.  The
-    pair is read off the first vector of an LLL-reduced basis of the lattice
-    spanned by the unit rows and ``(-alpha, c)`` for a determinant ``c`` tuned
-    to the guarantee above.
+    ``v`` must be a nonzero integer vector and ``k >= 2``.  The pair is read
+    off the first vector of an LLL-reduced basis of the lattice spanned by
+    the unit rows and ``(-v / m, 1 / (k Q))``, scaled to integers.
     """
-    alpha = [Fraction(a) for a in alpha]
-    r = len(alpha)
-    if r < 1:
-        raise InvariantError("sda.dim", "need at least one coordinate")
-    if not 0 < eps < 1:
-        raise InvariantError("sda.eps", f"eps must lie in (0, 1), got {eps}")
-    if any(abs(a) > 1 for a in alpha):
-        raise InvariantError("sda.norm", "coordinates must lie in [-1, 1]")
-    q_bound = _multiplier_bound(r, eps)
-    c = eps / q_bound  # eps**(r+1) / 2**ceil(r(r+1)/4)
+    v = [index(x) for x in v]
+    r = len(v)
+    if not any(v):
+        raise InvariantError("sda.dim", "need a nonzero vector")
+    if k < 2:
+        raise InvariantError("sda.eps", f"precision 1/k needs k >= 2, got {k}")
+    g = gcd(*v)
+    v = [x // g for x in v]
+    m = max(abs(x) for x in v)
+    q_bound = _multiplier_bound(r, k)
 
-    # scale the lattice to integers, as lll_reduce needs; reduction commutes
+    # the lattice scaled to integers, as lll_reduce needs; reduction commutes
     # with uniform scaling
-    scale = lcm(c.denominator, *(a.denominator for a in alpha))
-    basis = []
-    for i in range(r):
-        row = [0] * (r + 1)
-        row[i] = scale
-        basis.append(row)
-    basis.append([int(-a * scale) for a in alpha] + [int(c * scale)])
+    scale = lcm(k * q_bound, m)
+    step = scale // m  # 1 / m, scaled
+    c = scale // (k * q_bound)
+    basis = [[scale if j == i else 0 for j in range(r + 1)] for i in range(r)]
+    basis.append([-x * step for x in v] + [c])
 
-    first = [Fraction(x, scale) for x in lll_reduce(basis)[0]]
-    q = first[r] / c
-    if q.denominator != 1:
-        raise InternalError("sda.q-integral", f"last coordinate is {q} times c, not a multiple")
-    q = q.numerator
+    first = lll_reduce(basis)[0]
+    q, rest = divmod(first[r], c)
+    if rest:
+        raise InternalError("sda.q-integral", f"last coordinate {first[r]} is no multiple of {c}")
     if q == 0:
         raise InternalError("sda.q-zero", "reduced vector has a zero multiplier")
     if q < 0:
@@ -204,52 +201,52 @@ def simultaneous_approximation(alpha, eps: Fraction):
         first = [-x for x in first]
     p = []
     for i in range(r):
-        value = first[i] + q * alpha[i]
-        if value.denominator != 1:
-            raise InternalError("sda.p-integral", f"coordinate {i} is not an integer: {value}")
-        p.append(value.numerator)
-    if any(abs(q * a - pi) > eps for a, pi in zip(alpha, p)):
-        raise InternalError("sda.quality", f"q = {q} does not approximate within {eps}")
+        pi, rest = divmod(first[i] + q * v[i] * step, scale)
+        if rest:
+            raise InternalError("sda.p-integral", f"coordinate {i} is not an integer")
+        p.append(pi)
+    if any(k * abs(q * x - pi * m) > m for x, pi in zip(v, p)):
+        raise InternalError("sda.quality", f"q = {q} does not approximate within 1/{k}")
     if q > q_bound:
         raise InternalError("sda.q-bound", f"multiplier {q} exceeds {q_bound}")
     return p, q
 
 
-def _lattice_row(w: list[Fraction], n_bound: int, ceiling: int) -> list[int] | None:
+def _lattice_row(w: list[int], n_bound: int, ceiling: int) -> list[int] | None:
     """The Frank-Tardos row of ``w``, or ``None`` when its largest entry is
     not below ``ceiling``; the loop stops as soon as that is certain."""
-    eps = Fraction(1, 2 * n_bound)
-    q_bound = _multiplier_bound(len(w), eps)
+    k = 2 * n_bound
+    q_bound = _multiplier_bound(len(w), k)
     levels = []
     # lower bound on the final row's largest entry: at a level's argmax
     # coordinate |out| >= scale * q - M >= (2N - 1) * q * M, where M is the
     # largest entry of the deeper row, and M >= 1 when the residue is nonzero
     least = 1
     while any(w):
-        norm = max(abs(x) for x in w)
-        unit = [x / norm for x in w]
-        denominator = lcm(*(u.denominator for u in unit))
-        if denominator <= q_bound:
-            # an exact approximation within the multiplier bound: no residue
-            p, q = [int(u * denominator) for u in unit], denominator
+        g = gcd(*w)
+        w = [x // g for x in w]
+        m = max(abs(x) for x in w)
+        if m <= q_bound:
+            # w / m is exact within the multiplier bound: no residue
+            p, q = w, m
         else:
-            p, q = simultaneous_approximation(unit, eps)
+            p, q = simultaneous_approximation(w, k)
         # coordinates at the max (and all zeros) round exactly, so the support
         # strictly shrinks and the loop ends after at most dim(w) levels
-        w = [q * u - pi for u, pi in zip(unit, p)]
-        least *= q * (2 * n_bound - 1 if any(w) else 1)
+        w = [q * x - m * pi for x, pi in zip(w, p)]
+        least *= q * (k - 1 if any(w) else 1)
         if least >= ceiling:
             return None
         levels.append(p)
     out = [0] * len(w)
     for p in reversed(levels):
-        scale = 2 * n_bound * max(abs(x) for x in out) + 1
+        scale = k * max(abs(x) for x in out) + 1
         out = [scale * pi + di for pi, di in zip(p, out)]
     return out if max(abs(x) for x in out) < ceiling else None
 
 
 def frank_tardos_reduce(weights, n_bound: int) -> list[int]:
-    """Reduce a rational vector to a small integer vector agreeing in sign
+    """Reduce an integer vector to a small integer vector agreeing in sign
     with it against every integer ``b`` with ``sum |b_i| <= n_bound``.
 
     Equal input coordinates are collapsed before reduction and re-expanded
@@ -260,17 +257,15 @@ def frank_tardos_reduce(weights, n_bound: int) -> list[int]:
     whenever that row is within the multiplier bound ``Q`` or no longer than
     the lattice row, so ``max |v_i|`` never exceeds that of the exact row.
     """
-    entries = [Fraction(x) for x in weights]
+    entries = [index(x) for x in weights]
     if not entries:
         raise InvariantError("ft.dim", "cannot reduce an empty vector")
     if n_bound < 1:
         raise InvariantError("ft.bound", f"norm budget must be >= 1, got {n_bound}")
-    common = lcm(*(f.denominator for f in entries))
-    scaled = [int(f * common) for f in entries]
-    distinct = sorted(set(scaled))
+    distinct = sorted(set(entries))
     g = gcd(*distinct) or 1
     exact = [v // g for v in distinct]
     ceiling = max(abs(v) for v in exact)
-    reduced = _lattice_row([Fraction(v) for v in exact], n_bound, ceiling) or exact
+    reduced = _lattice_row(exact, n_bound, ceiling) or exact
     lookup = dict(zip(distinct, reduced))
-    return [lookup[v] for v in scaled]
+    return [lookup[v] for v in entries]

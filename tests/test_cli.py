@@ -316,7 +316,7 @@ class TestSolve:
         main(["compose", str(yes), str(no), "--out", str(out)])
         return out
 
-    @pytest.mark.parametrize("method", ["brute", "mim", "grouped-bb"])
+    @pytest.mark.parametrize("method", ["brute", "mim", "grouped"])
     def test_methods_agree(self, composed_file, capsys, method):
         assert main(["solve", str(composed_file), "--method", method]) == 0
         assert "feasible" in capsys.readouterr().out
@@ -336,7 +336,7 @@ class TestSolve:
         assert totals == f"weight={weight} profit={profit}"
         assert weight <= inst.capacity and profit >= inst.target
 
-    @pytest.mark.parametrize("method", ["brute", "mim", "dp", "grouped-bb"])
+    @pytest.mark.parametrize("method", ["brute", "mim", "dp", "grouped"])
     def test_witness_every_method(self, tmp_path, capsys, method):
         inst = KnapsackInstance(
             (Item(3, 4), Item(5, 6), Item(3, 4), Item(7, 9), Item(2, 1)), 10, 12
@@ -353,7 +353,7 @@ class TestSolve:
             inst = compose([gen_rss(1, s, s == yes) for s in range(16)]).knapsack
             src = tmp_path / "c16.json"
             dump_instance(inst, src)
-            assert main(["solve", str(src), "--method", "grouped-bb", "--witness"]) == 0
+            assert main(["solve", str(src), "--method", "grouped", "--witness"]) == 0
             self._assert_valid_witness(inst, capsys.readouterr().out)
 
     def test_grouped_at_class_limit(self, tmp_path, capsys):
@@ -362,7 +362,7 @@ class TestSolve:
         inst = KnapsackInstance(tuple(Item(w, 1) for w in range(1, n + 1)), n * n, n)
         src = tmp_path / "limit.json"
         dump_instance(inst, src)
-        assert main(["solve", str(src), "--method", "grouped-bb", "--witness"]) == 0
+        assert main(["solve", str(src), "--method", "grouped", "--witness"]) == 0
         self._assert_valid_witness(inst, capsys.readouterr().out)
 
     def test_dp_guard_on_composed(self, composed_file, capsys):
@@ -573,7 +573,7 @@ class TestWitnessRule:
         monkeypatch.setattr(kernel, "solve_meet_in_middle", short)
         src = tmp_path / "k.json"
         dump_instance(KnapsackInstance((Item(3, 5), Item(2, 4)), 5, 9), src)
-        assert main(["solve", "--method", "grouped-bb", "--witness", str(src)]) == 1
+        assert main(["solve", "--method", "grouped", "--witness", str(src)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error[kernel.witness]")
         assert "Traceback" not in err

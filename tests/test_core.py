@@ -29,6 +29,7 @@ from fewweights.core import (
     restricted_universe_size,
 )
 from fewweights import serialize
+from fewweights.generators import gen_rss
 
 
 class TestRestrictedTarget:
@@ -67,6 +68,18 @@ class TestMembership:
                 base = 3 * n + 1
                 assert sum(base**j for j in witness) == a
                 assert all(1 <= j <= 3 * n for j in witness)
+
+    def test_members_of_a_size_400_instance(self):
+        # 1,200 members of about 12,000 bits each
+        n = 400
+        base = 3 * n + 1
+        for a in gen_rss(n, 3, True).numbers:
+            ok, witness = membership_in_restricted_universe(a, n)
+            assert ok and sum(base**j for j in witness) == a
+            assert membership_in_restricted_universe(a + 1, n) == (False, None)
+            # a fourth power, also at the largest exponent
+            four = a + base ** witness[-1]
+            assert membership_in_restricted_universe(four, n) == (False, None)
 
     def test_sampled_against_enumeration_size_three(self):
         universe = set(enumerate_restricted_universe(3))

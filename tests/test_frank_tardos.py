@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +26,7 @@ def norm_bound(r: int, n: int) -> int:
 def assert_signs_preserved(w, reduced, n_bound):
     for b in l1_ball(len(w), n_bound):
         got = sign(sum(x * y for x, y in zip(reduced, b)))
-        want = sign(sum(Fraction(x) * y for x, y in zip(w, b)))
+        want = sign(sum(x * y for x, y in zip(w, b)))
         assert got == want, (w, reduced, b)
 
 
@@ -125,28 +125,26 @@ def _sda_vector(bits, dim, seed):
 def _residue_chain_bases(monkeypatch, vec, budget):
     """Every basis of the Frank-Tardos residue chain of ``vec``: each level
     runs ``simultaneous_approximation`` until the residue is zero, whether or
-    not the library would stop there."""
-    eps = Fraction(1, 2 * budget)
+    not the library would stop there.  A level's row ``w`` stands for
+    ``w / max |w_i|``, so its residue is ``q * w - m * p``."""
 
     def run():
-        w = [Fraction(v) for v in sorted(set(vec))]
+        w = sorted(set(vec))
         while any(w):
-            norm = max(abs(x) for x in w)
-            unit = [x / norm for x in w]
-            p, q = simultaneous_approximation(unit, eps)
-            w = [q * u - pi for u, pi in zip(unit, p)]
+            g = gcd(*w)
+            w = [x // g for x in w]
+            m = max(abs(x) for x in w)
+            p, q = simultaneous_approximation(w, 2 * budget)
+            w = [q * x - m * pi for x, pi in zip(w, p)]
 
     return _recorded_bases(monkeypatch, run)
 
 
 def _exact_row(vec):
-    """The row the reduction falls back to: the distinct entries over a
-    common denominator, divided by their gcd, in the input's order."""
-    entries = [Fraction(x) for x in vec]
-    common = lcm(*(f.denominator for f in entries))
-    scaled = [int(f * common) for f in entries]
-    g = gcd(*scaled) or 1
-    return [v // g for v in scaled]
+    """The row the reduction falls back to: the entries divided by their
+    gcd, in the input's order."""
+    g = gcd(*vec) or 1
+    return [v // g for v in vec]
 
 
 class TestLLL:
@@ -215,9 +213,7 @@ class TestLLLMatchesReference:
     def test_sda_basis_first_level_wide(self, monkeypatch):
         dim = 13
         vec, budget = _sda_vector(256, dim, 7 * dim + 256)
-        norm = max(abs(x) for x in vec)
-        unit = [Fraction(x, norm) for x in vec]
-        run = lambda: simultaneous_approximation(unit, Fraction(1, 2 * budget))  # noqa: E731
+        run = lambda: simultaneous_approximation(vec, 2 * budget)  # noqa: E731
         (basis,) = _recorded_bases(monkeypatch, run)
         _assert_matches_reference(basis)
 
@@ -227,40 +223,50 @@ class TestSimultaneousApproximation:
     def test_quality_and_multiplier_bound(self, seed):
         rng = random.Random(seed)
         r = rng.randrange(1, 5)
-        alpha = [Fraction(rng.randrange(-1000, 1001), 1000) for _ in range(r)]
-        eps = Fraction(1, rng.randrange(2, 12))
-        p, q = simultaneous_approximation(alpha, eps)
+        v = [rng.randrange(-1000, 1001) for _ in range(r)]
+        if not any(v):
+            v[0] = 1
+        k = rng.randrange(2, 12)
+        p, q = simultaneous_approximation(v, k)
         assert q >= 1
         exponent = -((-r * (r + 1)) // 4)
-        assert q <= 2**exponent * eps**-r
-        for a, pi in zip(alpha, p):
-            assert abs(q * a - pi) <= eps
+        assert q <= 2**exponent * k**r
+        m = max(abs(x) for x in v)
+        for x, pi in zip(v, p):
+            assert abs(q * Fraction(x, m) - pi) <= Fraction(1, k)
 
-    def test_rejects_big_coordinates(self):
-        with pytest.raises(InvariantError):
-            simultaneous_approximation([Fraction(2)], Fraction(1, 2))
+    @pytest.mark.parametrize("v", [[], [0], [0, 0, 0]])
+    def test_rejects_zero_vector(self, v):
+        with pytest.raises(InvariantError) as err:
+            simultaneous_approximation(v, 4)
+        assert err.value.code == "sda.dim"
 
     def test_rejects_bad_eps(self):
-        with pytest.raises(InvariantError):
-            simultaneous_approximation([Fraction(1, 2)], Fraction(3, 2))
+        # the precision is eps = 1/k, which must lie in (0, 1)
+        for k in (1, 0, -3):
+            with pytest.raises(InvariantError) as err:
+                simultaneous_approximation([1, 2], k)
+            assert err.value.code == "sda.eps"
 
-    # eps = 1/4 gives c = 1/32.  For alpha = (1/2,) the lattice is scaled by
-    # 32, so a reduced first row (x, y) reads as q = y and p = x/32 + y/2;
-    # for alpha = (1/64,) it is scaled by 64 and q = y/2.
+    # alpha is approximated together with 1, as the row v = (1, 3).  At
+    # k = 4 the multiplier bound is Q = 2**2 * 4**2 = 64 and the lattice is
+    # scaled by lcm(k Q, 3) = 768, so its last row is (-256, -768, 3): a
+    # reduced first row (x, y, z) reads as q = z / 3 and
+    # p = ((x + 256 q) / 768, (y + 768 q) / 768).
     @pytest.mark.parametrize(
         "alpha,first,code",
         [
-            (Fraction(1, 64), [0, 1], "sda.q-integral"),
-            (Fraction(1, 2), [0, 0], "sda.q-zero"),
-            (Fraction(1, 2), [1, 1], "sda.p-integral"),
-            (Fraction(1, 2), [16, 1], "sda.quality"),
-            (Fraction(1, 2), [0, 10], "sda.q-bound"),
+            (Fraction(1, 3), [0, 0, 1], "sda.q-integral"),
+            (Fraction(1, 3), [0, 0, 0], "sda.q-zero"),
+            (Fraction(1, 3), [1, 0, 3], "sda.p-integral"),
+            (Fraction(1, 3), [-256, 0, 3], "sda.quality"),
+            (Fraction(1, 3), [0, 0, 198], "sda.q-bound"),
         ],
     )
     def test_output_checks_raise(self, monkeypatch, alpha, first, code):
         monkeypatch.setattr(frank_tardos, "lll_reduce", lambda basis: [first])
         with pytest.raises(InvariantError) as err:
-            simultaneous_approximation([alpha], Fraction(1, 4))
+            simultaneous_approximation([alpha.numerator, alpha.denominator], 4)
         assert err.value.code == code
 
 
@@ -287,11 +293,17 @@ class TestFrankTardosReduce:
         assert out[1] == 0 and out[0] > 0 > out[2] and out[0] == -out[2]
         assert_signs_preserved(w, out, 3)
 
-    def test_rational_inputs(self):
-        w = [Fraction(3, 7), Fraction(-2, 5), Fraction(0)]
+    def test_common_factor_and_repeated_entry(self):
+        w = [15 * 6, -14 * 6, 0, 15 * 6]
         out = frank_tardos_reduce(w, 3)
-        assert all(isinstance(v, int) for v in out)
+        assert all(type(v) is int for v in out)
+        assert out[0] == out[3]
+        assert out == frank_tardos_reduce([15, -14, 0, 15], 3)
         assert_signs_preserved(w, out, 3)
+
+    def test_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            frank_tardos_reduce([Fraction(3, 7), 1], 3)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_exhaustive_small_scale(self, seed):
@@ -363,13 +375,15 @@ class TestFrankTardosReduce:
         st.integers(1, 12),
         st.randoms(use_true_random=False),
     )
-    def test_signs_and_no_growth(self, values, n_bound, factor, denominator, rng):
-        # a common factor, a shared denominator and a repeated entry
-        w = [Fraction(v * factor, denominator) for v in values]
+    def test_signs_and_no_growth(self, values, n_bound, factor, d, rng):
+        # a common factor and a repeated entry
+        w = [v * factor for v in values]
         if len(w) < 4:
             w.insert(rng.randrange(len(w) + 1), rng.choice(w))
         out = frank_tardos_reduce(w, n_bound)
         assert all(type(v) is int for v in out)
+        # scaling the row by d >= 1 scales every b . w by d: no sign moves
+        assert frank_tardos_reduce([d * x for x in w], n_bound) == out
         largest = max(abs(v) for v in out)
         assert largest <= max(abs(v) for v in _exact_row(w))
         assert largest <= norm_bound(len(w), n_bound)

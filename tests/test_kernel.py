@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -30,6 +32,7 @@ from fewweights.kernel import (
     reduce_ilp,
     solve_grouped,
 )
+from fewweights.serialize import instance_to_obj
 from fewweights.solvers import solve_brute_force, solve_meet_in_middle
 
 
@@ -470,3 +473,32 @@ class TestKernelMetamorphic:
         if want.feasible:
             # both report a maximum profit, whichever witness reaches it
             assert got.achieved_profit == want.achieved_profit
+
+
+# the inputs of one draw of the kernel-sweep benchmark: gen_knapsack with
+# w# = p# = a at 2**bits, 24-30 items, and OR-compositions at (t, n)
+_SWEEP = (
+    ("gen", 2, 64), ("gen", 3, 64), ("gen", 4, 64), ("gen", 8, 64), ("gen", 16, 64),
+    ("gen", 2, 256), ("gen", 3, 256), ("gen", 4, 256), ("gen", 8, 256),
+    ("compose", 2, 1), ("compose", 4, 1), ("compose", 2, 2), ("compose", 4, 2),
+)
+# sha256 of the canonical JSON of every kernel and report of draws 0 and 1;
+# any change to a kernel the reduction builds changes it
+_PINNED_SWEEP = "3eed91e0fcd519a1c2c9f4c2482ac138145d315acd5ad3fc300eba6346268dd0"
+
+
+def _sweep_instance(kind: str, a: int, b: int, seed: int) -> KnapsackInstance:
+    if kind == "gen":
+        return gen_knapsack(24 + seed % 7, a, a, 2**b, seed)
+    return compose([gen_rss(b, seed + j, j == seed % a) for j in range(a)]).knapsack
+
+
+class TestKernelPinned:
+    def test_sweep_kernels_and_reports(self):
+        outputs = []
+        for draw in range(2):
+            for i, shape in enumerate(_SWEEP):
+                out, report = kernelize_with_report(_sweep_instance(*shape, 100 * draw + i))
+                outputs.append([instance_to_obj(out), report])
+        text = json.dumps(outputs, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_SWEEP

@@ -19,7 +19,7 @@ from .core import (
     RestrictedSubsetSumInstance,
     X3CInstance,
 )
-from .reductions import x3c_has_exact_cover, x3c_to_rss
+from .reductions import _RSS_SIZE_LIMIT, x3c_has_exact_cover, x3c_to_rss
 
 __all__ = [
     "SplitMix64",
@@ -51,12 +51,11 @@ _LANES = [None, None] + [
     lanes for k in range(1, _BLOCK.bit_length()) for lanes in [_lanes(1 << k)] * (1 << k - 1)
 ]
 _RESAMPLE_BUDGET = 10**5
-# Largest yes-instance sizes, in n or in items times 64-bit words per value;
-# `fewweights gen` at each (Python 3.11, 2 vCPUs) takes 1.4-1.7 s for x3c, 2.4 s
-# for rss, and for knapsack 0.5 s, or 1.5 s with every value distinct and
-# max_value = items, where the distinct draws collect coupons
+# Largest yes-instance sizes, in n or in items times 64-bit words per value
+# (rss's is in reductions); `fewweights gen` at each (Python 3.11.7, 2 vCPUs)
+# takes 1.2-1.3 s for x3c, 0.4-0.5 s for rss, and for knapsack 0.5 s, or 1.5 s
+# with every value distinct and max_value = items: the draws collect coupons
 _X3C_SIZE_LIMIT = 2**15
-_RSS_SIZE_LIMIT = 400
 _KNAPSACK_WORDS_LIMIT = 2**15
 
 # The only size-1 instance family has a single possible triple, so a verified

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _RSS_DECIDE_GUARD = 10**6
+# the largest n mapped to numbers, which is also `gen_rss`'s yes-instance limit
+_RSS_SIZE_LIMIT = 400
 
 
 def x3c_to_rss(inst: X3CInstance) -> RestrictedSubsetSumInstance:
@@ -38,6 +40,8 @@ def x3c_to_rss(inst: X3CInstance) -> RestrictedSubsetSumInstance:
     input order.  The result is always a valid restricted instance: every
     element occurs in exactly three triples, so the numbers sum to three
     times the target."""
+    if inst.n > _RSS_SIZE_LIMIT:
+        raise GuardError("reduce.size", f"n = {inst.n}, limit {_RSS_SIZE_LIMIT}")
     base = 3 * inst.n + 1
     numbers = tuple(sum(base**j for j in t) for t in inst.triples)
     return RestrictedSubsetSumInstance(inst.n, numbers)

@@ -17,7 +17,7 @@ from fewweights.core import (
 )
 from fewweights.serialize import dump_instance, instance_from_obj, load_instance
 from fewweights.solvers import solve_brute_force
-from fewweights.generators import gen_knapsack, gen_rss
+from fewweights.generators import gen_knapsack, gen_rss, gen_x3c
 
 
 @pytest.fixture
@@ -161,6 +161,20 @@ class TestSizeGuards:
     def test_no_instance_keeps_its_guard(self, capsys):
         assert main(["gen", "rss", "--n", str(10**18), "--no"]) == 3
         assert capsys.readouterr().err.startswith("guard[gen.x3c-no]")
+
+    @pytest.mark.parametrize("n, want", [(400, 0), (401, 3)])
+    def test_reduce_x3c_to_rss_at_the_rss_limit(self, tmp_path, capsys, n, want):
+        # the reduction has gen rss's limit: one over it exits before a
+        # single number is built
+        src, out = tmp_path / "x.json", tmp_path / "r.json"
+        dump_instance(gen_x3c(n, 1, True), src)
+        assert main(["reduce", "x3c-to-rss", str(src), "--out", str(out)]) == want
+        err = capsys.readouterr().err
+        if want:
+            assert err.startswith("guard[reduce.size]: n = 401, limit 400")
+            assert not out.exists()
+        else:
+            assert err == "" and load_instance(out).n == 400
 
 
 # one instance of each kind

@@ -28,8 +28,8 @@ from fewweights.core import (
     restricted_target,
     restricted_universe_size,
 )
-from fewweights import serialize
-from fewweights.generators import gen_rss
+from fewweights import core, serialize
+from fewweights.generators import SplitMix64, gen_rss
 
 
 class TestRestrictedTarget:
@@ -48,6 +48,11 @@ class TestRestrictedTarget:
     def test_rejects_zero(self):
         with pytest.raises(InvariantError):
             restricted_target(0)
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_closed_form_is_the_defining_sum(self, n):
+        base = 3 * n + 1
+        assert restricted_target(n) == sum(base**j for j in range(1, 3 * n + 1))
 
 
 class TestMembership:
@@ -81,6 +86,16 @@ class TestMembership:
             four = a + base ** witness[-1]
             assert membership_in_restricted_universe(four, n) == (False, None)
 
+    @pytest.mark.parametrize("n", [1, 2, 30, 400])
+    def test_exponent_bounds(self, n):
+        # the largest member has every exponent at 3n; past it a power
+        # would need exponent 3n + 1, and 2**(10**6) is past every member
+        m = 3 * n
+        base = m + 1
+        assert membership_in_restricted_universe(3 * base**m, n) == (True, (m, m, m))
+        assert membership_in_restricted_universe(base ** (m + 1), n) == (False, None)
+        assert membership_in_restricted_universe(2 ** (10**6), n) == (False, None)
+
     def test_sampled_against_enumeration_size_three(self):
         universe = set(enumerate_restricted_universe(3))
         probes = set(universe)
@@ -113,6 +128,43 @@ class TestEnumerateUniverse:
         with pytest.raises(GuardError):
             enumerate_restricted_universe(10**4 + 1)
 
+    def test_guard_boundary(self):
+        # the guard counts members: n = 47 is the largest size it admits
+        assert restricted_universe_size(47) <= core._UNIVERSE_GUARD
+        assert restricted_universe_size(48) > core._UNIVERSE_GUARD
+        with pytest.raises(GuardError) as err:
+            enumerate_restricted_universe(48)
+        assert err.value.code == "universe.enumerate"
+
+
+def _pruned_walk(value, base, length):
+    """Reference: every digit vector from the lowest position up, pruned
+    where the positions left cannot reach the value any more."""
+    powers = [base**i for i in range(length)]
+    suffix_max = [0] * (length + 1)
+    for i in range(length - 1, -1, -1):
+        suffix_max[i] = suffix_max[i + 1] + base * powers[i]
+    out = []
+    prefix = [0] * length
+
+    def walk(pos, remaining):
+        if pos == length:
+            if remaining == 0:
+                out.append(tuple(prefix))
+            return
+        for digit in range(base + 1):
+            rest = remaining - digit * powers[pos]
+            if rest < 0:
+                break
+            if rest > suffix_max[pos + 1]:
+                continue
+            prefix[pos] = digit
+            walk(pos + 1, rest)
+        prefix[pos] = 0
+
+    walk(0, value)
+    return out
+
 
 class TestDigitSolutions:
     def test_all_ones_case(self):
@@ -139,6 +191,22 @@ class TestDigitSolutions:
     @pytest.mark.parametrize("base", range(2, 8))
     @pytest.mark.parametrize("length", range(1, 6))
     def test_unique_digit_solution(self, base, length):
+        value = sum(base**i for i in range(length))
+        assert digit_solutions(value, base, length) == [(1,) * length]
+
+    @pytest.mark.parametrize("base,length", [(2, 8), (3, 6), (4, 5), (5, 4), (9, 3)])
+    def test_matches_the_pruned_walk(self, base, length):
+        rng = SplitMix64(base * 100 + length)
+        top = base * sum(base**i for i in range(length))
+        values = [rng.randrange(top + 1) for _ in range(200)] + [0, top, top + 1]
+        for value in values:
+            expect = _pruned_walk(value, base, length)
+            assert digit_solutions(value, base, length) == expect, (value, base, length)
+
+    @pytest.mark.parametrize("base,length", [(2, 14), (3, 11), (4, 10), (6, 8), (9, 7)])
+    def test_unique_digit_solution_at_the_guard_edge(self, base, length):
+        # the most digits the guard admits at each base
+        assert (base + 1) ** length <= core._DIGIT_GUARD < (base + 1) ** (length + 1)
         value = sum(base**i for i in range(length))
         assert digit_solutions(value, base, length) == [(1,) * length]
 

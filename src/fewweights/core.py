@@ -335,11 +335,14 @@ def digit_solutions(value: int, base: int, length: int) -> list[tuple[int, ...]]
         raise InvariantError("digits.length", "length must be >= 1")
     if value < 0:
         raise InvariantError("digits.value", "value must be a natural")
-    if (base + 1) ** length > _DIGIT_GUARD:
-        raise GuardError(
-            "digits.space",
-            f"(base+1)**length = {(base + 1) ** length} exceeds guard {_DIGIT_GUARD}",
-        )
+    space = 1
+    for _ in range(length):  # stops within lg(_DIGIT_GUARD) steps, since base + 1 >= 3
+        space *= base + 1
+        if space > _DIGIT_GUARD:
+            raise GuardError(
+                "digits.space",
+                f"{base + 1} choices for each of {length} digits exceed guard {_DIGIT_GUARD}",
+            )
     out: list[tuple[int, ...]] = []
 
     def walk(rest: int, digits: tuple[int, ...]) -> None:

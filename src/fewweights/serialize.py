@@ -11,9 +11,14 @@ The interface is four functions: ``instance_to_obj``/``instance_from_obj``
 between instances and JSON objects, ``dump_instance``/``load_instance`` through
 files.  Only ``instance_to_obj`` can strip the labels of knapsack items.
 
-Loading a knapsack instance builds one frozen ``Item`` per distinct unlabeled
-(weight, profit) pair, so equal unlabeled items may be a single shared object;
-a labeled item always gets an object of its own.
+A knapsack ``items`` entry is either an object or an int ``j``, a
+back-reference: the same item as the earlier entry at position ``j``, which
+must hold an unlabeled item.  The writer spells out the first occurrence of
+each unlabeled (weight, profit) pair and refers back to it for every equal
+unlabeled item after it, so a document costs bytes per distinct pair, not per
+item; labeled items (unless stripped) are always objects.  The loader gives a
+back-reference the very ``Item`` object of its target, so repeats share one
+frozen ``Item``; every object entry gets an ``Item`` of its own.
 
 Errors from ``load_instance`` do not name the file; the CLI, which knows what
 it was given, adds the path to every load error once.
@@ -105,9 +110,15 @@ def _label_from_obj(obj) -> Label | None:
 
 def _knapsack_to_obj(inst: KnapsackInstance, strip_labels: bool) -> dict:
     items = []
+    first: dict[tuple[int, int], int] = {}  # unlabeled pair -> position of its object
     for it in inst.items:
+        labeled = it.label is not None and not strip_labels
+        j = len(items) if labeled else first.setdefault((it.weight, it.profit), len(items))
+        if j < len(items):
+            items.append(j)
+            continue
         entry = {"weight": str(it.weight), "profit": str(it.profit)}
-        if it.label is not None and not strip_labels:
+        if labeled:
             entry["label"] = _label_to_obj(it.label)
         items.append(entry)
     return {
@@ -120,23 +131,19 @@ def _knapsack_to_obj(inst: KnapsackInstance, strip_labels: bool) -> dict:
 
 def _knapsack_from_obj(obj: dict) -> KnapsackInstance:
     items = []
-    # Unlabeled items with the same weight and profit strings share one Item.
-    # A pair enters only once it has decoded, so a bad entry always takes the
-    # checked path and raises what it would raise on its own.
-    shared: dict[tuple[str, str], Item] = {}
     for entry in _expect(obj, "items", list):
-        if not isinstance(entry, dict):
-            raise SchemaError("schema.item", "item must be an object")
-        w, p = entry.get("weight"), entry.get("profit")
-        plain = type(w) is str and type(p) is str and entry.get("label") is None
-        item = shared.get((w, p)) if plain else None
-        if item is None:
-            item = Item(
-                _nat(entry, "weight"), _nat(entry, "profit"), _label_from_obj(entry.get("label"))
-            )
-            if plain:
-                shared[w, p] = item
-        items.append(item)
+        if type(entry) is int:
+            if not 0 <= entry < len(items) or items[entry].label is not None:
+                raise SchemaError(
+                    "schema.item",
+                    f"items[{len(items)}]: a reference must name an earlier unlabeled item",
+                )
+            items.append(items[entry])
+        elif isinstance(entry, dict):
+            w, p = _nat(entry, "weight"), _nat(entry, "profit")
+            items.append(Item(w, p, _label_from_obj(entry.get("label"))))
+        else:
+            raise SchemaError("schema.item", "item must be an object or a reference")
     return KnapsackInstance(tuple(items), _nat(obj, "capacity"), _nat(obj, "target"))
 
 

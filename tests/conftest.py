@@ -69,6 +69,15 @@ def random_knapsack(rng: random.Random, n: int, max_value: int) -> KnapsackInsta
     return KnapsackInstance(items, rng.randrange(total_w + 2), rng.randrange(total_p + 2))
 
 
+def expand_references(obj: dict) -> dict:
+    """A knapsack document with each back-reference replaced by a copy of the
+    entry it names: the document as the per-item format spelled it."""
+    items: list = []
+    for entry in obj["items"]:
+        items.append(dict(items[entry]) if type(entry) is int else entry)
+    return {**obj, "items": items}
+
+
 @pytest.fixture
 def rss_yes_1() -> RestrictedSubsetSumInstance:
     return RestrictedSubsetSumInstance(1, (84, 84, 84))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import re
 import sys
+import time
 import tracemalloc
 from enum import IntEnum
 from itertools import combinations_with_replacement, product
@@ -213,6 +214,16 @@ class TestDigitSolutions:
     def test_guard(self):
         with pytest.raises(GuardError):
             digit_solutions(1, 9, 8)  # 10**8 candidate vectors
+
+    @pytest.mark.parametrize("length", [10**4, 10**8])
+    def test_guard_on_long_lengths_is_immediate(self, length):
+        # 3**length is never built, nor formatted past the int/str digit limit
+        start = time.perf_counter()
+        with pytest.raises(GuardError) as err:
+            digit_solutions(1, 2, length)
+        assert err.value.code == "digits.space"
+        assert f"{length} digits" in str(err.value)
+        assert time.perf_counter() - start < 0.5
 
     def test_bad_arguments(self):
         with pytest.raises(InvariantError):

@@ -80,6 +80,15 @@ bad_labels = st.one_of(
                            "k": st.just(0), "l": st.just(1)}),
 )
 
+# never a valid back-reference from the third knapsack entry: the only earlier
+# unlabeled entry is at position 1 (position 0 is labeled)
+bad_references = st.one_of(
+    st.integers(max_value=0),
+    st.integers(2, 2**70),
+    st.booleans(),
+    st.sampled_from([1.0, 0.0]),
+)
+
 
 @st.composite
 def broken_documents(draw, kind: str):
@@ -96,11 +105,13 @@ def broken_documents(draw, kind: str):
             doc[draw(st.sampled_from(["capacity", "target"]))] = draw(bad_decimals)
         else:
             item = doc["items"][draw(st.integers(0, 1))]
-            part = draw(st.sampled_from(["weight", "profit", "label", "entry"]))
+            part = draw(st.sampled_from(["weight", "profit", "label", "entry", "reference"]))
             if part == "label":
                 item["label"] = draw(bad_labels)
             elif part == "entry":
-                doc["items"].append(draw(json_values.filter(lambda v: not isinstance(v, dict))))
+                doc["items"].append(draw(json_values.filter(lambda v: not isinstance(v, (dict, int)))))
+            elif part == "reference":
+                doc["items"].append(draw(bad_references))
             else:
                 item[part] = draw(bad_decimals)
     elif kind == "rss":

@@ -25,6 +25,7 @@ from .core import (
     Index,
     InternalError,
     InvariantError,
+    Item,
     KnapsackInstance,
     RestrictedSubsetSumInstance,
     SchemaError,
@@ -103,7 +104,11 @@ def _cmd_reduce(args) -> int:
 def _cmd_compose(args) -> int:
     inputs = [_load(path, RestrictedSubsetSumInstance) for path in args.inputs]
     composed = compose(inputs)
-    _emit(instance_to_obj(composed.knapsack, strip_labels=args.strip_labels), args.out)
+    knap = composed.knapsack
+    if args.strip_labels:
+        items = tuple(Item(it.weight, it.profit) for it in knap.items)
+        knap = KnapsackInstance(items, knap.capacity, knap.target)
+    _emit(instance_to_obj(knap), args.out)
     meta = composition_metadata(composed)
     meta["inputs"] = len(inputs)
     _emit(meta, str(Path(args.out).with_suffix(".meta.json")))

@@ -105,6 +105,12 @@ Label = Encoding | Quadratization | Index  # None means a plain, unlabeled item
 # Problem instances
 # ---------------------------------------------------------------------------
 
+def _is_int(v) -> bool:
+    """Whether ``v`` is an int and not a bool, the one number type the
+    instances take."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class Item:
     weight: int
@@ -113,9 +119,9 @@ class Item:
 
     def __post_init__(self):
         w, p = self.weight, self.profit
-        if not isinstance(w, int) or isinstance(w, bool):
+        if not _is_int(w):
             raise InvariantError("item.weight", "item weight must be an int")
-        if not isinstance(p, int) or isinstance(p, bool):
+        if not _is_int(p):
             raise InvariantError("item.profit", "item profit must be an int")
         if w < 0:
             raise InvariantError("item.weight", f"negative weight {w}")
@@ -133,9 +139,9 @@ class KnapsackInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
-        if self.capacity < 0:
+        if not _is_int(self.capacity) or self.capacity < 0:
             raise InvariantError("knapsack.capacity", "capacity must be a natural")
-        if self.target < 0:
+        if not _is_int(self.target) or self.target < 0:
             raise InvariantError("knapsack.target", "target must be a natural")
 
     def subset_weight(self, indices) -> int:
@@ -152,9 +158,9 @@ class SubsetSumInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "numbers", tuple(self.numbers))
-        if any(a < 0 for a in self.numbers):
+        if not all(_is_int(a) and a >= 0 for a in self.numbers):
             raise InvariantError("subsetsum.numbers", "numbers must be naturals")
-        if self.target < 0:
+        if not _is_int(self.target) or self.target < 0:
             raise InvariantError("subsetsum.target", "target must be a natural")
 
 
@@ -168,7 +174,7 @@ class RestrictedSubsetSumInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "numbers", tuple(self.numbers))
-        if self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise InvariantError("rss.n", "size parameter must be >= 1")
         if len(self.numbers) != 3 * self.n:
             raise InvariantError(
@@ -176,8 +182,7 @@ class RestrictedSubsetSumInstance:
                 f"expected {3 * self.n} numbers, got {len(self.numbers)}",
             )
         for a in self.numbers:
-            ok, _ = membership_in_restricted_universe(a, self.n)
-            if not ok:
+            if not (_is_int(a) and membership_in_restricted_universe(a, self.n)[0]):
                 raise InvariantError(
                     "rss.member", f"{a} is not in the size-{self.n} universe"
                 )
@@ -198,7 +203,7 @@ class X3CInstance:
     triples: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise InvariantError("x3c.n", "size parameter must be >= 1")
         # before anything is sized by n: a huge n must not allocate
         if len(self.triples) != 3 * self.n:
@@ -211,7 +216,7 @@ class X3CInstance:
             t = tuple(sorted(t))
             if len(t) != 3 or len(set(t)) != 3:
                 raise InvariantError("x3c.triple", f"{t} is not a 3-element set")
-            if not all(1 <= j <= 3 * self.n for j in t):
+            if not all(_is_int(j) and 1 <= j <= 3 * self.n for j in t):
                 raise InvariantError(
                     "x3c.element", f"{t} has elements outside 1..{3 * self.n}"
                 )

@@ -9,16 +9,18 @@ constructors), so the two failure classes stay distinguishable by error code.
 
 The interface is four functions: ``instance_to_obj``/``instance_from_obj``
 between instances and JSON objects, ``dump_instance``/``load_instance`` through
-files.  Only ``instance_to_obj`` can strip the labels of knapsack items.
+files.  Two tables define the format: ``_KINDS`` gives each kind its type and
+its fields, and ``_FIELDS`` one codec per field name, so a field such as
+``target`` has the same JSON shape in every kind that has it.
 
 A knapsack ``items`` entry is either an object or an int ``j``, a
 back-reference: the same item as the earlier entry at position ``j``, which
 must hold an unlabeled item.  The writer spells out the first occurrence of
 each unlabeled (weight, profit) pair and refers back to it for every equal
 unlabeled item after it, so a document costs bytes per distinct pair, not per
-item; labeled items (unless stripped) are always objects.  The loader gives a
-back-reference the very ``Item`` object of its target, so repeats share one
-frozen ``Item``; every object entry gets an ``Item`` of its own.
+item; labeled items are always objects.  The loader gives a back-reference
+the very ``Item`` object of its target, so repeats share one frozen
+``Item``; every object entry gets an ``Item`` of its own.
 
 Errors from ``load_instance`` do not name the file; the CLI, which knows what
 it was given, adds the path to every load error once.
@@ -105,33 +107,28 @@ def _label_from_obj(obj) -> Label | None:
 
 
 # ---------------------------------------------------------------------------
-# Per-kind converters; ``instance_from_obj`` has checked that ``obj`` is a dict
+# The wire format as two tables: each kind's fields, and one codec per field
 # ---------------------------------------------------------------------------
 
-def _knapsack_to_obj(inst: KnapsackInstance, strip_labels: bool) -> dict:
-    items = []
+def _items_to_obj(items) -> list:
+    out = []
     first: dict[tuple[int, int], int] = {}  # unlabeled pair -> position of its object
-    for it in inst.items:
-        labeled = it.label is not None and not strip_labels
-        j = len(items) if labeled else first.setdefault((it.weight, it.profit), len(items))
-        if j < len(items):
-            items.append(j)
+    for it in items:
+        labeled = it.label is not None
+        j = len(out) if labeled else first.setdefault((it.weight, it.profit), len(out))
+        if j < len(out):
+            out.append(j)
             continue
         entry = {"weight": str(it.weight), "profit": str(it.profit)}
         if labeled:
             entry["label"] = _label_to_obj(it.label)
-        items.append(entry)
-    return {
-        "kind": "knapsack",
-        "items": items,
-        "capacity": str(inst.capacity),
-        "target": str(inst.target),
-    }
+        out.append(entry)
+    return out
 
 
-def _knapsack_from_obj(obj: dict) -> KnapsackInstance:
+def _items_from_obj(field: str, entries: list) -> tuple[Item, ...]:
     items = []
-    for entry in _expect(obj, "items", list):
+    for entry in entries:
         if type(entry) is int:
             if not 0 <= entry < len(items) or items[entry].label is not None:
                 raise SchemaError(
@@ -144,83 +141,67 @@ def _knapsack_from_obj(obj: dict) -> KnapsackInstance:
             items.append(Item(w, p, _label_from_obj(entry.get("label"))))
         else:
             raise SchemaError("schema.item", "item must be an object or a reference")
-    return KnapsackInstance(tuple(items), _nat(obj, "capacity"), _nat(obj, "target"))
+    return tuple(items)
 
 
-def _rss_to_obj(inst: RestrictedSubsetSumInstance) -> dict:
-    return {
-        "kind": "rss",
-        "n": inst.n,
-        "numbers": [str(a) for a in inst.numbers],
-    }
-
-
-def _rss_from_obj(obj: dict) -> RestrictedSubsetSumInstance:
-    n = _expect(obj, "n", int)
-    numbers = [_decode_nat("numbers", v) for v in _expect(obj, "numbers", list)]
-    return RestrictedSubsetSumInstance(n, tuple(numbers))
-
-
-def _x3c_to_obj(inst: X3CInstance) -> dict:
-    return {"kind": "x3c", "n": inst.n, "triples": [list(t) for t in inst.triples]}
-
-
-def _x3c_from_obj(obj: dict) -> X3CInstance:
-    n = _expect(obj, "n", int)
-    triples = []
-    for t in _expect(obj, "triples", list):
+def _triples_from_obj(field: str, entries: list) -> tuple[tuple[int, int, int], ...]:
+    for t in entries:
         if not isinstance(t, list) or len(t) != 3 or not all(
             isinstance(j, int) and not isinstance(j, bool) for j in t
         ):
             raise SchemaError("schema.triple", f"triple must be a list of 3 ints, got {t!r}")
-        triples.append(tuple(t))
-    return X3CInstance(n, tuple(triples))
+    return tuple(map(tuple, entries))
 
 
-def _subset_sum_to_obj(inst: SubsetSumInstance) -> dict:
-    return {
-        "kind": "subsetsum",
-        "numbers": [str(a) for a in inst.numbers],
-        "target": str(inst.target),
-    }
-
-
-def _subset_sum_from_obj(obj: dict) -> SubsetSumInstance:
-    numbers = [_decode_nat("numbers", v) for v in _expect(obj, "numbers", list)]
-    return SubsetSumInstance(tuple(numbers), _nat(obj, "target"))
-
-
-_TO_OBJ = {  # knapsack, the kind with labels, goes first
-    RestrictedSubsetSumInstance: _rss_to_obj,
-    X3CInstance: _x3c_to_obj,
-    SubsetSumInstance: _subset_sum_to_obj,
+# field -> (JSON type, encoder, decoder); a decoder gets the field's name and
+# its value once ``_expect`` has checked the value's JSON type
+_DECIMAL = (str, str, _decode_nat)
+_FIELDS = {
+    "items": (list, _items_to_obj, _items_from_obj),
+    "capacity": _DECIMAL,
+    "target": _DECIMAL,
+    "numbers": (
+        list,
+        lambda numbers: [str(a) for a in numbers],
+        lambda field, vs: tuple(_decode_nat(field, v) for v in vs),
+    ),
+    "n": (int, lambda n: n, lambda field, n: n),
+    "triples": (list, lambda triples: [list(t) for t in triples], _triples_from_obj),
 }
 
-_FROM_OBJ = {
-    "knapsack": _knapsack_from_obj,
-    "rss": _rss_from_obj,
-    "x3c": _x3c_from_obj,
-    "subsetsum": _subset_sum_from_obj,
+# kind -> (type, fields): a document lists the fields after "kind" in this
+# order, they are read in it, and the type takes their values in it
+_KINDS = {
+    "knapsack": (KnapsackInstance, ("items", "capacity", "target")),
+    "rss": (RestrictedSubsetSumInstance, ("n", "numbers")),
+    "x3c": (X3CInstance, ("n", "triples")),
+    "subsetsum": (SubsetSumInstance, ("numbers", "target")),
 }
+_KIND_OF = {cls: kind for kind, (cls, _) in _KINDS.items()}
 
 
-def instance_to_obj(inst, strip_labels: bool = False) -> dict:
-    if type(inst) is KnapsackInstance:
-        return _knapsack_to_obj(inst, strip_labels)
-    conv = _TO_OBJ.get(type(inst))
-    if conv is None:
+def instance_to_obj(inst) -> dict:
+    kind = _KIND_OF.get(type(inst))
+    if kind is None:
         raise SchemaError("schema.kind", f"cannot serialize {type(inst).__name__}")
-    return conv(inst)
+    obj = {"kind": kind}
+    for field in _KINDS[kind][1]:
+        obj[field] = _FIELDS[field][1](getattr(inst, field))
+    return obj
 
 
 def instance_from_obj(obj):
     if not isinstance(obj, dict):
         raise SchemaError("schema.object", "instance must be a JSON object")
     kind = _expect(obj, "kind", str)
-    conv = _FROM_OBJ.get(kind)
-    if conv is None:
+    if kind not in _KINDS:
         raise SchemaError("schema.kind", f"unknown instance kind {kind!r}")
-    return conv(obj)
+    cls, fields = _KINDS[kind]
+    values = []
+    for field in fields:
+        json_type, _, decode = _FIELDS[field]
+        values.append(decode(field, _expect(obj, field, json_type)))
+    return cls(*values)
 
 
 def dump_instance(inst, path) -> None:

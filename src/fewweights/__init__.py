@@ -8,8 +8,6 @@ from .composition import (
     compose,
     count_distinct_profits,
     count_distinct_weights,
-    layer_profit,
-    layer_weight,
     pad_to_power_of_two,
 )
 from .core import (

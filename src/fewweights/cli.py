@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -283,7 +284,11 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # a closed standard output fails here, not at interpreter exit,
+        # whether or not the stream is buffered
+        sys.stdout.flush()
+        return status
     except InternalError as exc:  # a failed post-condition of the library
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1
@@ -294,6 +299,9 @@ def main(argv=None) -> int:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # unreadable input, unwritable output
+        if isinstance(exc, BrokenPipeError):
+            # exit flushes stdout again; what it still holds goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error[io]: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 from .core import (
@@ -34,6 +34,7 @@ from .core import (
     Label,
     Quadratization,
     RestrictedSubsetSumInstance,
+    _is_int,
     restricted_target,
     restricted_universe_size,
 )
@@ -49,8 +50,6 @@ __all__ = [
     "canonical_solution",
     "quadratization_labels",
     "index_labels",
-    "layer_weight",
-    "layer_profit",
     "count_distinct_weights",
     "count_distinct_profits",
     "composition_metadata",
@@ -59,7 +58,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompositionConstants:
-    """All gadget magnitudes for composing ``t`` inputs of size ``n``.
+    """All gadget magnitudes for composing ``t`` inputs of size ``n``, each
+    derived from ``t`` and ``n`` alone.
 
     ``shift`` makes every encoding item so heavy that capacity alone pins the
     number of encoding items a solution may carry.  ``block`` is the weight of
@@ -71,52 +71,53 @@ class CompositionConstants:
 
     t: int
     n: int
-    lg_t: int
-    rss_target: int
-    shift: int
-    block: int
-    quad_scale: int
-    index_scale: int
-    layer_total: int
-    capacity: int
-    target: int
+    lg_t: int = field(init=False)
+    rss_target: int = field(init=False)
+    shift: int = field(init=False)
+    block: int = field(init=False)
+    quad_scale: int = field(init=False)
+    index_scale: int = field(init=False)
+    layer_total: int = field(init=False)
+    capacity: int = field(init=False)
+    target: int = field(init=False)
 
-    @classmethod
-    def for_size(cls, t: int, n: int) -> "CompositionConstants":
-        if t < 2 or t & (t - 1):
+    def __post_init__(self):
+        t, n = self.t, self.n
+        if not _is_int(t) or t < 2 or t & (t - 1):
             raise InvariantError("compose.t", f"t must be a power of two >= 2, got {t}")
-        if n < 1:
+        if not _is_int(n) or n < 1:
             raise InvariantError("compose.n", f"n must be >= 1, got {n}")
-        lg_t = t.bit_length() - 1
-        rss_target = restricted_target(n)
-        shift = 3 * t * n * rss_target
-        block = rss_target + n * shift
+        put = object.__setattr__
+        put(self, "lg_t", t.bit_length() - 1)
+        put(self, "rss_target", restricted_target(n))
+        put(self, "shift", 3 * t * n * self.rss_target)
+        put(self, "block", self.rss_target + n * self.shift)
         # quad_scale must strictly exceed the total profit of all encoding
         # items (3tB + 4.5 t(t-1) nB), or sacrificing one quad-layer unit
         # frees enough weight for encoding profits to cheat the target
-        quad_scale = 9 * t * t * n * block
-        sq = lg_t * lg_t
-        index_scale = sq * quad_scale * quad_scale * 3**sq
-        layer_total = (3**sq - 1) // 2
-        capacity = (t - 1) * index_scale + layer_total * quad_scale + (3 * t - 2) * block
-        target = capacity + comb(t, 2) * 9 * n * block
-        return cls(
-            t=t,
-            n=n,
-            lg_t=lg_t,
-            rss_target=rss_target,
-            shift=shift,
-            block=block,
-            quad_scale=quad_scale,
-            index_scale=index_scale,
-            layer_total=layer_total,
-            capacity=capacity,
-            target=target,
-        )
+        put(self, "quad_scale", 9 * t * t * n * self.block)
+        sq = self.lg_t * self.lg_t
+        put(self, "index_scale", sq * self.quad_scale * self.quad_scale * 3**sq)
+        put(self, "layer_total", (3**sq - 1) // 2)
+        below_index = self.layer_total * self.quad_scale + (3 * t - 2) * self.block
+        put(self, "capacity", (t - 1) * self.index_scale + below_index)
+        put(self, "target", self.capacity + comb(t, 2) * 9 * n * self.block)
 
     def pair_code(self, k: int, l: int) -> int:
         """Row-major bijection from bit pairs to exponents of 3."""
         return k * self.lg_t + l
+
+    def index_layer(self, items) -> tuple[int, int]:
+        """Weight and profit of ``items`` in the index layer, each a sum of
+        per-item floored reads."""
+        z = self.index_scale
+        return sum(it.weight // z for it in items), sum(it.profit // z for it in items)
+
+    def quad_layer(self, items) -> tuple[int, int]:
+        """Weight and profit of ``items`` in the quad layer, each a sum of
+        per-item floored reads."""
+        z, y = self.index_scale, self.quad_scale
+        return sum(it.weight % z // y for it in items), sum(it.profit % z // y for it in items)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +219,7 @@ def compose(instances: list[RestrictedSubsetSumInstance]) -> ComposedInstance:
     then diagonals), then index items (zero-bit before one-bit per position).
     """
     padded = pad_to_power_of_two(instances)
-    constants = CompositionConstants.for_size(len(padded), padded[0].n)
+    constants = CompositionConstants(len(padded), padded[0].n)
     encoding = build_encoding_items(padded, constants)
     quad = build_quadratization_items(constants)
     index = build_index_items(constants)
@@ -308,24 +309,6 @@ def canonical_solution(
     labels |= index_labels(which, constants.lg_t)
     position = {it.label: pos for pos, it in enumerate(composed.knapsack.items)}
     return frozenset(position[label] for label in labels)
-
-
-def _layer_value(value: int, constants: CompositionConstants, layer: str) -> int:
-    if layer == "index":
-        return value // constants.index_scale
-    if layer == "quad":
-        return (value % constants.index_scale) // constants.quad_scale
-    raise InvariantError("layer.name", f"unknown layer {layer!r}")
-
-
-def layer_weight(items, constants: CompositionConstants, layer: str) -> int:
-    """Sum of per-item floored layer reads of the weights."""
-    return sum(_layer_value(it.weight, constants, layer) for it in items)
-
-
-def layer_profit(items, constants: CompositionConstants, layer: str) -> int:
-    """Sum of per-item floored layer reads of the profits."""
-    return sum(_layer_value(it.profit, constants, layer) for it in items)
 
 
 def count_distinct_weights(inst: KnapsackInstance) -> int:

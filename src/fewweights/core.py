@@ -111,6 +111,16 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _as_tuple(value, code: str, field: str) -> tuple:
+    """``value`` as a tuple, or ``InvariantError(code)`` if it is not
+    iterable."""
+    try:
+        iter(value)
+    except TypeError:
+        raise InvariantError(code, f"{field} is a {type(value).__name__}, not iterable") from None
+    return tuple(value)  # a tuple comes back as itself, not copied
+
+
 @dataclass(frozen=True, slots=True)
 class Item:
     weight: int
@@ -138,7 +148,7 @@ class KnapsackInstance:
     target: int
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+        object.__setattr__(self, "items", _as_tuple(self.items, "knapsack.items", "items"))
         if not _is_int(self.capacity) or self.capacity < 0:
             raise InvariantError("knapsack.capacity", "capacity must be a natural")
         if not _is_int(self.target) or self.target < 0:
@@ -157,7 +167,7 @@ class SubsetSumInstance:
     target: int
 
     def __post_init__(self):
-        object.__setattr__(self, "numbers", tuple(self.numbers))
+        object.__setattr__(self, "numbers", _as_tuple(self.numbers, "subsetsum.numbers", "numbers"))
         if not all(_is_int(a) and a >= 0 for a in self.numbers):
             raise InvariantError("subsetsum.numbers", "numbers must be naturals")
         if not _is_int(self.target) or self.target < 0:
@@ -173,7 +183,7 @@ class RestrictedSubsetSumInstance:
     numbers: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "numbers", tuple(self.numbers))
+        object.__setattr__(self, "numbers", _as_tuple(self.numbers, "rss.numbers", "numbers"))
         if not _is_int(self.n) or self.n < 1:
             raise InvariantError("rss.n", "size parameter must be >= 1")
         if len(self.numbers) != 3 * self.n:
@@ -205,18 +215,22 @@ class X3CInstance:
     def __post_init__(self):
         if not _is_int(self.n) or self.n < 1:
             raise InvariantError("x3c.n", "size parameter must be >= 1")
+        triples = _as_tuple(self.triples, "x3c.triples", "triples")
         # before anything is sized by n: a huge n must not allocate
-        if len(self.triples) != 3 * self.n:
+        if len(triples) != 3 * self.n:
             raise InvariantError(
                 "x3c.count",
-                f"expected {3 * self.n} triples, got {len(self.triples)}",
+                f"expected {3 * self.n} triples, got {len(triples)}",
             )
         canon = []
-        for t in self.triples:
+        for t in triples:
+            t = _as_tuple(t, "x3c.triple", "a triple")
+            if not all(_is_int(j) for j in t):
+                raise InvariantError("x3c.element", "triple elements must be ints")
             t = tuple(sorted(t))
             if len(t) != 3 or len(set(t)) != 3:
                 raise InvariantError("x3c.triple", f"{t} is not a 3-element set")
-            if not all(_is_int(j) and 1 <= j <= 3 * self.n for j in t):
+            if not all(1 <= j <= 3 * self.n for j in t):
                 raise InvariantError(
                     "x3c.element", f"{t} has elements outside 1..{3 * self.n}"
                 )

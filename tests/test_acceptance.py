@@ -19,8 +19,6 @@ from fewweights.composition import (
     compose,
     count_distinct_weights,
     index_labels,
-    layer_profit,
-    layer_weight,
     quadratization_labels,
 )
 from fewweights.core import Index, Quadratization, RestrictedSubsetSumInstance, X3CInstance
@@ -89,7 +87,7 @@ def test_criterion_03_quadratization_identity():
     checked = 0
     for t in (2, 4, 8, 16):
         for n in (1, 2):
-            constants = CompositionConstants.for_size(t, n)
+            constants = CompositionConstants(t, n)
             by_label = {it.label: it for it in build_quadratization_items(constants)}
             for i in range(t):
                 picked = [by_label[lab] for lab in quadratization_labels(i, constants.lg_t)]
@@ -111,10 +109,8 @@ def test_criterion_04_index_extraction_exhaustive():
     qualified = 0
     for mask in range(1 << 9):
         subset = [items[i] for i in range(9) if mask >> i & 1]
-        if (
-            layer_weight(subset, constants, "index") <= constants.t - 1
-            and layer_profit(subset, constants, "index") >= constants.t - 1
-        ):
+        weight, profit = constants.index_layer(subset)
+        if weight <= constants.t - 1 and profit >= constants.t - 1:
             qualified += 1
             picked_index = frozenset(
                 it.label for it in subset if isinstance(it.label, Index)
@@ -131,7 +127,7 @@ def test_criterion_05_replacement_dominance():
     checked = 0
     for t in (4, 8, 16):
         for n in (1, 2):
-            constants = CompositionConstants.for_size(t, n)
+            constants = CompositionConstants(t, n)
             by_label = {it.label: it for it in build_quadratization_items(constants)}
             for k in range(constants.lg_t):
                 for l in range(k + 1, constants.lg_t):

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import fewweights
 from fewweights.cli import main, verify_compose
 from fewweights.composition import compose
 from fewweights.core import (
@@ -504,6 +508,40 @@ class TestIOErrors:
         yes, _ = rss_files
         out = tmp_path / "missing" / "c.json"
         self._expect_error(["compose", str(yes), str(yes), "--out", str(out)], capsys, "io")
+
+
+    # a closed standard output is an unwritable output too: `cmd | head -1`
+    # under pipefail must not pass while the rest goes unwritten
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{k}", "--method", "mim", "--witness"],
+            ["verify", "compose", "--t", "2", "--n", "1"],
+            ["gen", "knapsack", "--items", "4", "--w-distinct", "2", "--p-distinct", "2",
+             "--max-value", "100"],
+            ["kernelize", "{k}", "--report"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_closed_stdout(self, tmp_path, argv, unbuffered):
+        k = tmp_path / "k.json"
+        dump_instance(KnapsackInstance((Item(3, 4), Item(5, 6), Item(7, 9)), 8, 10), k)
+        src = str(Path(fewweights.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fewweights", *(a.format(k=k) for a in argv)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, proc.stderr
+        lines = [line for line in proc.stderr.splitlines() if line.startswith("error")]
+        assert lines == ["error[io]: [Errno 32] Broken pipe"], proc.stderr
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 class TestLabels:

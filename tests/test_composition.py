@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import product
 from math import comb
 
@@ -17,8 +19,6 @@ from fewweights.composition import (
     count_distinct_profits,
     count_distinct_weights,
     index_labels,
-    layer_profit,
-    layer_weight,
     pad_to_power_of_two,
     quadratization_labels,
 )
@@ -32,6 +32,7 @@ from fewweights.core import (
     RestrictedSubsetSumInstance,
 )
 from fewweights.generators import gen_rss
+from fewweights.serialize import instance_to_obj
 from fewweights.solvers import solve_brute_force
 
 
@@ -41,7 +42,7 @@ NO1 = RestrictedSubsetSumInstance(1, (12, 48, 192))
 
 class TestConstants:
     def test_frozen_values_size_two_one(self):
-        c = CompositionConstants.for_size(2, 1)
+        c = CompositionConstants(2, 1)
         assert c.rss_target == 84
         assert c.shift == 504          # 3 * 2 * 1 * 84
         assert c.block == 588          # 84 + 1 * 504
@@ -53,22 +54,53 @@ class TestConstants:
 
     def test_quad_scale_dominates_encoding_profits(self):
         for t, n in product((2, 4, 8, 16), (1, 2)):
-            c = CompositionConstants.for_size(t, n)
+            c = CompositionConstants(t, n)
             total = 3 * t * c.block + 9 * n * c.block * comb(t, 2)
             assert c.quad_scale > total
 
     def test_rejects_bad_shape(self):
         with pytest.raises(InvariantError):
-            CompositionConstants.for_size(3, 1)
+            CompositionConstants(3, 1)
         with pytest.raises(InvariantError):
-            CompositionConstants.for_size(1, 1)
+            CompositionConstants(1, 1)
         with pytest.raises(InvariantError):
-            CompositionConstants.for_size(2, 0)
+            CompositionConstants(2, 0)
+
+    def test_derived_magnitudes_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            CompositionConstants(2, 1, capacity=5)
 
     def test_pair_code_bijective(self):
-        c = CompositionConstants.for_size(16, 1)
+        c = CompositionConstants(16, 1)
         codes = {c.pair_code(k, l) for k in range(4) for l in range(4)}
         assert codes == set(range(16))
+
+
+class TestPinnedOutputs:
+    """Digests of the constants and of composed documents, so a rewrite of
+    the magnitudes or the item families that changes a byte fails here."""
+
+    def test_constants(self):
+        rows = []
+        for t in (2, 4, 8, 16, 32):
+            for n in (1, 2, 3):
+                c = CompositionConstants(t, n)
+                rows.append([str(v) for v in (
+                    c.t, c.n, c.lg_t, c.rss_target, c.shift, c.block, c.quad_scale,
+                    c.index_scale, c.layer_total, c.capacity, c.target,
+                )])
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "944ce51cfbfdc6df37af9b1a74f3ef9f12a71e18a122f144329928ee6a29082d"
+
+    def test_composed_documents(self):
+        docs = [
+            json.dumps(instance_to_obj(
+                compose([gen_rss(n, s, s == y) for s in range(t)]).knapsack
+            ))
+            for t, n, y in [(2, 1, 0), (8, 1, 5), (4, 2, 3), (16, 1, 15), (8, 3, 2)]
+        ]
+        digest = hashlib.sha256("\n".join(docs).encode()).hexdigest()
+        assert digest == "4030a080217f7e55233325618bc5f2fc1556e01b4b0585f5b221ab6da98bf45a"
 
 
 class TestPadding:
@@ -94,14 +126,14 @@ class TestPadding:
 
 class TestItemFamilies:
     def test_encoding_items_size_two_one(self):
-        c = CompositionConstants.for_size(2, 1)
+        c = CompositionConstants(2, 1)
         items = build_encoding_items([YES1, YES1], c)
         assert [(it.weight, it.profit) for it in items[:3]] == [(588, 588)] * 3
         assert [(it.weight, it.profit) for it in items[3:]] == [(588, 2352)] * 3
 
     @pytest.mark.parametrize("t,n", [(2, 1), (4, 1), (4, 2)])
     def test_encoding_group_sums(self, t, n):
-        c = CompositionConstants.for_size(t, n)
+        c = CompositionConstants(t, n)
         inputs = [gen_rss(n, 7 + i, True) for i in range(t)]
         items = build_encoding_items(inputs, c)
         for i in range(t):
@@ -112,7 +144,7 @@ class TestItemFamilies:
             assert sum(it.profit for it in block_items) == 3 * c.block + 9 * n * c.block * i
 
     def test_quadratization_single_item(self):
-        c = CompositionConstants.for_size(2, 1)
+        c = CompositionConstants(2, 1)
         (item,) = build_quadratization_items(c)
         assert item.label == Quadratization((1, 1), 0, 0)
         assert item.weight == c.quad_scale == 21168
@@ -121,18 +153,18 @@ class TestItemFamilies:
 
     @pytest.mark.parametrize("t,count", [(4, 5), (8, 12), (16, 22)])
     def test_quadratization_counts(self, t, count):
-        c = CompositionConstants.for_size(t, 1)
+        c = CompositionConstants(t, 1)
         assert len(build_quadratization_items(c)) == count
 
     def test_index_items_size_two_one(self):
-        c = CompositionConstants.for_size(2, 1)
+        c = CompositionConstants(2, 1)
         zero, one = build_index_items(c)
         assert zero.label == Index(0, 0) and one.label == Index(1, 0)
         assert zero.weight == zero.profit == c.index_scale + c.quad_scale == 1344273840
         assert one.weight == one.profit == c.index_scale + 3 * c.block == 1344254436
 
     def test_index_item_count(self):
-        c = CompositionConstants.for_size(4, 1)
+        c = CompositionConstants(4, 1)
         items = build_index_items(c)
         assert len(items) == 4
         assert all(it.weight == it.profit for it in items)
@@ -231,28 +263,22 @@ class TestLayers:
         z1 = [by_label[Index(1, 0)]]
         z0 = [by_label[Index(0, 0)]]
         x = [comp.knapsack.items[0]]
-        assert layer_weight(z1, c, "index") == 1
-        assert layer_weight(x, c, "index") == 0
-        assert layer_weight(z0, c, "quad") == 1
-        assert layer_profit(z0, c, "index") == 1
-
-    def test_unknown_layer(self):
-        c = CompositionConstants.for_size(2, 1)
-        with pytest.raises(InvariantError):
-            layer_weight(build_index_items(c), c, "Z")
+        assert c.index_layer(z1) == (1, 1)
+        assert c.index_layer(x) == (0, 0)
+        assert c.quad_layer(z0) == (1, 1)
+        assert c.index_layer(z0) == (1, 1)
 
     @pytest.mark.parametrize("t", [2, 4, 8])
     def test_compatibility_layer_sums(self, t):
         """Index plus quad selections for any index fill the quad layer to
         exactly the layer total, in weight and in profit."""
-        c = CompositionConstants.for_size(t, 1)
+        c = CompositionConstants(t, 1)
         items = build_quadratization_items(c) + build_index_items(c)
         by_label = {it.label: it for it in items}
         for i in range(t):
             picked = [by_label[lab] for lab in quadratization_labels(i, c.lg_t)]
             picked += [by_label[lab] for lab in index_labels(i, c.lg_t)]
-            assert layer_weight(picked, c, "quad") == c.layer_total
-            assert layer_profit(picked, c, "quad") == c.layer_total
+            assert c.quad_layer(picked) == (c.layer_total, c.layer_total)
 
     def test_index_extraction_spot(self):
         comp = compose([YES1, NO1])
@@ -261,7 +287,8 @@ class TestLayers:
         hits = 0
         for mask in range(1 << 9):
             subset = [items[i] for i in range(9) if mask >> i & 1]
-            if layer_weight(subset, c, "index") <= 1 and layer_profit(subset, c, "index") >= 1:
+            weight, profit = c.index_layer(subset)
+            if weight <= 1 and profit >= 1:
                 hits += 1
                 chosen_index = frozenset(
                     it.label for it in subset if isinstance(it.label, Index)
@@ -273,7 +300,7 @@ class TestLayers:
 class TestQuadIdentity:
     @pytest.mark.parametrize("t,n", [(2, 1), (4, 1), (4, 2)])
     def test_profit_weight_gap(self, t, n):
-        c = CompositionConstants.for_size(t, n)
+        c = CompositionConstants(t, n)
         by_label = {it.label: it for it in build_quadratization_items(c)}
         for i in range(t):
             picked = [by_label[lab] for lab in quadratization_labels(i, c.lg_t)]
@@ -284,7 +311,7 @@ class TestQuadIdentity:
 class TestReplacementDominance:
     @pytest.mark.parametrize("t", [4, 8])
     def test_merged_pair_wins(self, t):
-        c = CompositionConstants.for_size(t, 1)
+        c = CompositionConstants(t, 1)
         by_label = {it.label: it for it in build_quadratization_items(c)}
         for k in range(c.lg_t):
             for l in range(k + 1, c.lg_t):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fewweights.composition import CompositionConstants
 from fewweights.core import (
     Encoding,
     GuardError,
@@ -305,6 +306,28 @@ class TestTypes:
     @pytest.mark.parametrize("site", _NON_INT)
     def test_non_int_number_keeps_its_field_code(self, site):
         build, code = self._NON_INT[site]
+        with pytest.raises(InvariantError) as err:
+            build()
+        assert err.value.code == code
+
+    # malformed library arguments that the JSON loader never builds, each
+    # refused with its field's code instead of a TypeError from inside
+    # tuple(), len(), sorted() or int arithmetic
+    _MALFORMED = {
+        "x3c str element": (lambda: X3CInstance(1, (("a", 2, 3),) * 3), "x3c.element"),
+        "x3c int triple": (lambda: X3CInstance(1, ((1, 2, 3), 5, (1, 2, 3))), "x3c.triple"),
+        "x3c int triples": (lambda: X3CInstance(1, 5), "x3c.triples"),
+        "rss int numbers": (lambda: RestrictedSubsetSumInstance(1, 5), "rss.numbers"),
+        "subsetsum int numbers": (lambda: SubsetSumInstance(5, 3), "subsetsum.numbers"),
+        "knapsack int items": (lambda: KnapsackInstance(5, 3, 1), "knapsack.items"),
+        "compose float t": (lambda: CompositionConstants(2.0, 1), "compose.t"),
+        "compose float n": (lambda: CompositionConstants(2, 1.0), "compose.n"),
+        "compose bool n": (lambda: CompositionConstants(2, True), "compose.n"),
+    }
+
+    @pytest.mark.parametrize("site", _MALFORMED)
+    def test_malformed_argument_keeps_its_field_code(self, site):
+        build, code = self._MALFORMED[site]
         with pytest.raises(InvariantError) as err:
             build()
         assert err.value.code == code

@@ -35,6 +35,7 @@ from .core import (
     Quadratization,
     RestrictedSubsetSumInstance,
     _is_int,
+    _shown,
     restricted_target,
     restricted_universe_size,
 )
@@ -84,9 +85,9 @@ class CompositionConstants:
     def __post_init__(self):
         t, n = self.t, self.n
         if not _is_int(t) or t < 2 or t & (t - 1):
-            raise InvariantError("compose.t", f"t must be a power of two >= 2, got {t}")
+            raise InvariantError("compose.t", f"t must be a power of two >= 2, got {_shown(t)}")
         if not _is_int(n) or n < 1:
-            raise InvariantError("compose.n", f"n must be >= 1, got {n}")
+            raise InvariantError("compose.n", f"n must be >= 1, got {_shown(n)}")
         put = object.__setattr__
         put(self, "lg_t", t.bit_length() - 1)
         put(self, "rss_target", restricted_target(n))
@@ -151,7 +152,7 @@ def build_encoding_items(
     boosted by ``3 * block`` per input index."""
     if len(instances) != constants.t:
         raise InvariantError(
-            "compose.count", f"expected {constants.t} inputs, got {len(instances)}"
+            "compose.count", f"expected {_shown(constants.t)} inputs, got {len(instances)}"
         )
     items = []
     for i, inst in enumerate(instances):
@@ -286,7 +287,7 @@ def canonical_solution(
     constants = composed.constants
     t, n = constants.t, constants.n
     if not 0 <= which < t:
-        raise InvariantError("witness.instance", f"instance index {which} out of range")
+        raise InvariantError("witness.instance", f"instance index {_shown(which)} out of range")
     witness = list(witness)
     positions = sorted(set(witness))
     if len(witness) != n or len(positions) != n:
@@ -300,7 +301,7 @@ def canonical_solution(
     if picked_sum != constants.rss_target:
         raise InvariantError(
             "witness.sum",
-            f"witness sums to {picked_sum}, expected {constants.rss_target}",
+            f"witness sums to {_shown(picked_sum)}, expected {_shown(constants.rss_target)}",
         )
 
     labels = {Encoding(which, p) for p in positions}

@@ -121,6 +121,21 @@ def _as_tuple(value, code: str, field: str) -> tuple:
     return tuple(value)  # a tuple comes back as itself, not copied
 
 
+def _shown(value, show=str) -> str:
+    """``show(value)`` for an error message, except that an int too long for
+    the interpreter's int/str digit limit shows by its bit length, also
+    inside a list or tuple."""
+    try:
+        return show(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit int>"
+        if not isinstance(value, (list, tuple)):
+            raise
+        inner = ", ".join(_shown(x, repr) for x in value)
+        return f"[{inner}]" if isinstance(value, list) else f"({inner})"
+
+
 @dataclass(frozen=True, slots=True)
 class Item:
     weight: int
@@ -134,9 +149,9 @@ class Item:
         if not _is_int(p):
             raise InvariantError("item.profit", "item profit must be an int")
         if w < 0:
-            raise InvariantError("item.weight", f"negative weight {w}")
+            raise InvariantError("item.weight", f"negative weight {_shown(w)}")
         if p < 0:
-            raise InvariantError("item.profit", f"negative profit {p}")
+            raise InvariantError("item.profit", f"negative profit {_shown(p)}")
 
 
 @dataclass(frozen=True)
@@ -189,18 +204,18 @@ class RestrictedSubsetSumInstance:
         if len(self.numbers) != 3 * self.n:
             raise InvariantError(
                 "rss.count",
-                f"expected {3 * self.n} numbers, got {len(self.numbers)}",
+                f"expected {_shown(3 * self.n)} numbers, got {len(self.numbers)}",
             )
         for a in self.numbers:
             if not (_is_int(a) and membership_in_restricted_universe(a, self.n)[0]):
                 raise InvariantError(
-                    "rss.member", f"{a} is not in the size-{self.n} universe"
+                    "rss.member", f"{_shown(a)} is not in the size-{self.n} universe"
                 )
         total = sum(self.numbers)
         expected = 3 * restricted_target(self.n)
         if total != expected:
             raise InvariantError(
-                "rss.sum", f"numbers sum to {total}, expected {expected}"
+                "rss.sum", f"numbers sum to {_shown(total)}, expected {_shown(expected)}"
             )
 
 
@@ -220,7 +235,7 @@ class X3CInstance:
         if len(triples) != 3 * self.n:
             raise InvariantError(
                 "x3c.count",
-                f"expected {3 * self.n} triples, got {len(triples)}",
+                f"expected {_shown(3 * self.n)} triples, got {len(triples)}",
             )
         canon = []
         for t in triples:
@@ -229,10 +244,10 @@ class X3CInstance:
                 raise InvariantError("x3c.element", "triple elements must be ints")
             t = tuple(sorted(t))
             if len(t) != 3 or len(set(t)) != 3:
-                raise InvariantError("x3c.triple", f"{t} is not a 3-element set")
+                raise InvariantError("x3c.triple", f"{_shown(t)} is not a 3-element set")
             if not all(1 <= j <= 3 * self.n for j in t):
                 raise InvariantError(
-                    "x3c.element", f"{t} has elements outside 1..{3 * self.n}"
+                    "x3c.element", f"{_shown(t)} has elements outside 1..{3 * self.n}"
                 )
             canon.append(t)
         object.__setattr__(self, "triples", tuple(canon))
@@ -328,7 +343,7 @@ def enumerate_restricted_universe(n: int) -> list[int]:
     if n < 1:
         raise InvariantError("universe.n", "size parameter must be >= 1")
     if restricted_universe_size(n) > _UNIVERSE_GUARD:
-        raise GuardError("universe.enumerate", f"n={n} has over {_UNIVERSE_GUARD} members")
+        raise GuardError("universe.enumerate", f"n={_shown(n)} has over {_UNIVERSE_GUARD} members")
     base = 3 * n + 1
     powers = [base**j for j in range(1, 3 * n + 1)]
     values = {
@@ -360,7 +375,8 @@ def digit_solutions(value: int, base: int, length: int) -> list[tuple[int, ...]]
         if space > _DIGIT_GUARD:
             raise GuardError(
                 "digits.space",
-                f"{base + 1} choices for each of {length} digits exceed guard {_DIGIT_GUARD}",
+                f"{_shown(base + 1)} choices for each of {_shown(length)} digits exceed guard"
+                f" {_DIGIT_GUARD}",
             )
     out: list[tuple[int, ...]] = []
 

@@ -9,8 +9,9 @@ The construction rounds the normalized vector to a simultaneous Diophantine
 approximation ``p / q`` good enough that inner products with small ``b``
 cannot cross an integer boundary, then recurses on the approximation residue
 and stitches the levels together with a multiplier large enough that lower
-levels only ever break ties.  The approximation itself comes from LLL on the
-standard ``(r+1)``-dimensional lattice.  Rows, approximations and levels are
+levels only ever break ties.  LLL on the standard ``(r+1)``-dimensional
+lattice supplies the approximation's multiplier ``q``, and ``p`` is ``q``
+times the normalized row, rounded.  Rows, approximations and levels are
 plain ints: a level's row ``w`` stands for ``w / m`` with ``m = max |w_i|``,
 and its residue is the row ``q * w - m * p``.  Only LLL's Gram-Schmidt state
 is rational, kept as reduced ``(numerator, denominator)`` pairs of ints.
@@ -30,7 +31,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from operator import index
 
-from .core import InternalError, InvariantError
+from .core import InternalError, InvariantError, _shown
 
 __all__ = ["lll_reduce", "simultaneous_approximation", "frank_tardos_reduce"]
 
@@ -167,16 +168,19 @@ def simultaneous_approximation(v, k: int):
     ``i``, where ``m = max |v_i|``, and ``1 <= q <= 2**ceil(r(r+1)/4) * k**r``:
     ``p / q`` approximates ``v / m`` within ``1/k``.
 
-    ``v`` must be a nonzero integer vector and ``k >= 2``.  The pair is read
-    off the first vector of an LLL-reduced basis of the lattice spanned by
-    the unit rows and ``(-v / m, 1 / (k Q))``, scaled to integers.
+    ``v`` must be a nonzero integer vector and ``k >= 2``.  The lattice
+    supplies ``q``: it is read off the last coordinate of the first vector of
+    an LLL-reduced basis of the lattice spanned by the unit rows and
+    ``(-v / m, 1 / (k Q))``, scaled to integers.  Each ``p_i`` is then the
+    nearest integer to ``q * v_i / m``, halves up.  For ``k >= 3`` that is
+    the ``p`` the vector encodes, as ``|q * v_i / m - p_i| <= 1/k < 1/2``.
     """
     v = [index(x) for x in v]
     r = len(v)
     if not any(v):
         raise InvariantError("sda.dim", "need a nonzero vector")
     if k < 2:
-        raise InvariantError("sda.eps", f"precision 1/k needs k >= 2, got {k}")
+        raise InvariantError("sda.eps", f"precision 1/k needs k >= 2, got {_shown(k)}")
     g = gcd(*v)
     v = [x // g for x in v]
     m = max(abs(x) for x in v)
@@ -190,25 +194,22 @@ def simultaneous_approximation(v, k: int):
     basis = [[scale if j == i else 0 for j in range(r + 1)] for i in range(r)]
     basis.append([-x * step for x in v] + [c])
 
-    first = lll_reduce(basis)[0]
-    q, rest = divmod(first[r], c)
+    last = lll_reduce(basis)[0][r]
+    q, rest = divmod(last, c)
     if rest:
-        raise InternalError("sda.q-integral", f"last coordinate {first[r]} is no multiple of {c}")
+        raise InternalError(
+            "sda.q-integral", f"last coordinate {_shown(last)} is no multiple of {_shown(c)}"
+        )
     if q == 0:
         raise InternalError("sda.q-zero", "reduced vector has a zero multiplier")
-    if q < 0:
-        q = -q
-        first = [-x for x in first]
-    p = []
-    for i in range(r):
-        pi, rest = divmod(first[i] + q * v[i] * step, scale)
-        if rest:
-            raise InternalError("sda.p-integral", f"coordinate {i} is not an integer")
-        p.append(pi)
+    q = abs(q)
+    p = [(2 * q * x + m) // (2 * m) for x in v]
     if any(k * abs(q * x - pi * m) > m for x, pi in zip(v, p)):
-        raise InternalError("sda.quality", f"q = {q} does not approximate within 1/{k}")
+        raise InternalError(
+            "sda.quality", f"q = {_shown(q)} does not approximate within 1/{_shown(k)}"
+        )
     if q > q_bound:
-        raise InternalError("sda.q-bound", f"multiplier {q} exceeds {q_bound}")
+        raise InternalError("sda.q-bound", f"multiplier {_shown(q)} exceeds {_shown(q_bound)}")
     return p, q
 
 
@@ -261,7 +262,7 @@ def frank_tardos_reduce(weights, n_bound: int) -> list[int]:
     if not entries:
         raise InvariantError("ft.dim", "cannot reduce an empty vector")
     if n_bound < 1:
-        raise InvariantError("ft.bound", f"norm budget must be >= 1, got {n_bound}")
+        raise InvariantError("ft.bound", f"norm budget must be >= 1, got {_shown(n_bound)}")
     distinct = sorted(set(entries))
     g = gcd(*distinct) or 1
     exact = [v // g for v in distinct]

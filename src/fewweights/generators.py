@@ -18,6 +18,7 @@ from .core import (
     KnapsackInstance,
     RestrictedSubsetSumInstance,
     X3CInstance,
+    _shown,
 )
 from .reductions import _RSS_SIZE_LIMIT, x3c_has_exact_cover, x3c_to_rss
 
@@ -93,7 +94,7 @@ class SplitMix64:
         """Uniform draw from 0..bound-1 by unbiased rejection; bounds beyond
         64 bits draw several words."""
         if bound <= 0:
-            raise InvariantError("rng.bound", f"bound must be positive, got {bound}")
+            raise InvariantError("rng.bound", f"bound must be positive, got {_shown(bound)}")
         if bound == 1:
             return 0
         bits = bound.bit_length()
@@ -123,13 +124,16 @@ class SplitMix64:
 
     def _draws(self, bounds) -> list[int]:
         """``[randrange(b) for b in bounds]``, with the words for bounds of
-        2 to 2^64 - 1 mixed a block at a time."""
+        2 to 2^64 - 1 mixed a block at a time; a bound of 1 takes no word."""
         out: list[int] = []
         words: tuple[int, ...] = ()
         pos = have = 0
         end = self._state  # state of the last word mixed
         for bound in bounds:
             if not 1 < bound <= _MASK64:
+                if bound == 1:
+                    out.append(0)
+                    continue
                 self._state = (end - (have - pos) * _GAMMA) & _MASK64
                 out.append(self.randrange(bound))
                 words, pos, have, end = (), 0, 0, self._state
@@ -164,10 +168,8 @@ def _mix(z: int, mask: int) -> int:
 def _random_partition_triples(rng: SplitMix64, n: int) -> list[tuple[int, int, int]]:
     elements = list(range(1, 3 * n + 1))
     rng.shuffle(elements)
-    return [
-        tuple(sorted(elements[3 * i : 3 * i + 3]))  # noqa: E203
-        for i in range(n)
-    ]
+    # X3CInstance sorts each triple
+    return [tuple(elements[3 * i : 3 * i + 3]) for i in range(n)]  # noqa: E203
 
 
 def gen_x3c(n: int, seed: int, want_yes: bool) -> X3CInstance:
@@ -186,7 +188,7 @@ def gen_x3c(n: int, seed: int, want_yes: bool) -> X3CInstance:
     rng = SplitMix64(seed)
     if want_yes:
         if n > _X3C_SIZE_LIMIT:
-            raise GuardError("gen.size", f"n = {n}, limit {_X3C_SIZE_LIMIT}")
+            raise GuardError("gen.size", f"n = {_shown(n)}, limit {_X3C_SIZE_LIMIT}")
         triples = []
         for _ in range(3):
             triples.extend(_random_partition_triples(rng, n))
@@ -198,15 +200,12 @@ def gen_x3c(n: int, seed: int, want_yes: bool) -> X3CInstance:
         )
     if n > 3:
         raise GuardError(
-            "gen.x3c-no", f"verified no-instances are desk-scale only (n <= 3), got {n}"
+            "gen.x3c-no", f"verified no-instances are desk-scale only (n <= 3), got {_shown(n)}"
         )
     slots = [j for j in range(1, 3 * n + 1) for _ in range(3)]
     for _ in range(_RESAMPLE_BUDGET):
         rng.shuffle(slots)
-        triples = [
-            tuple(sorted(slots[3 * i : 3 * i + 3]))  # noqa: E203
-            for i in range(3 * n)
-        ]
+        triples = [tuple(slots[3 * i : 3 * i + 3]) for i in range(3 * n)]  # noqa: E203
         if any(len(set(t)) != 3 for t in triples):
             continue
         inst = X3CInstance(n, tuple(triples))
@@ -224,7 +223,7 @@ def gen_rss(n: int, seed: int, want_yes: bool) -> RestrictedSubsetSumInstance:
     if not want_yes and n == 1:
         return RestrictedSubsetSumInstance(1, RSS_NO_INSTANCE_SIZE_1)
     if want_yes and n > _RSS_SIZE_LIMIT:
-        raise GuardError("gen.size", f"n = {n}, limit {_RSS_SIZE_LIMIT}")
+        raise GuardError("gen.size", f"n = {_shown(n)}, limit {_RSS_SIZE_LIMIT}")
     return x3c_to_rss(gen_x3c(n, seed, want_yes))
 
 
@@ -263,7 +262,7 @@ def gen_knapsack(
         )
     words = n_items * (max_value.bit_length() // 64 + 1)
     if words > _KNAPSACK_WORDS_LIMIT:
-        raise GuardError("gen.size", f"{words} item words, limit {_KNAPSACK_WORDS_LIMIT}")
+        raise GuardError("gen.size", f"{_shown(words)} item words, limit {_KNAPSACK_WORDS_LIMIT}")
     rng = SplitMix64(seed)
     weights = _distinct_values(rng, w_distinct, max_value)
     profits = _distinct_values(rng, p_distinct, max_value)

@@ -24,6 +24,7 @@ from .core import (
     Item,
     KnapsackInstance,
     SolverResult,
+    _shown,
 )
 from .frank_tardos import frank_tardos_reduce
 from .solvers import solve_meet_in_middle
@@ -117,8 +118,9 @@ def solve_grouped(g: GroupedInstance) -> SolverResult:
         weight += len(taken) * w
         profit += len(taken) * p
     if weight > g.capacity or profit != res.achieved_profit:
-        raise InternalError("kernel.witness", f"witness weight {weight}, profit {profit}; "
-                            f"capacity {g.capacity}, optimum {res.achieved_profit}")
+        raise InternalError("kernel.witness", f"witness weight {_shown(weight)}, profit"
+                            f" {_shown(profit)}; capacity {_shown(g.capacity)}, optimum"
+                            f" {_shown(res.achieved_profit)}")
     return SolverResult(True, frozenset(chosen), weight, profit)
 
 
@@ -164,7 +166,8 @@ def reduce_ilp(g: GroupedInstance) -> GroupedInstance:
             if seen.setdefault(a, v) != v:
                 raise InternalError(
                     "kernel.reduce-collapse",
-                    f"equal coefficients {a} reduced to {seen[a]} and {v}",
+                    f"equal coefficients {_shown(a)} reduced to {_shown(seen[a])} and"
+                    f" {_shown(v)}",
                 )
 
     classes = tuple(

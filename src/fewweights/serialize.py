@@ -41,6 +41,7 @@ from .core import (
     SchemaError,
     SubsetSumInstance,
     X3CInstance,
+    _shown,
 )
 
 __all__ = ["instance_to_obj", "instance_from_obj", "dump_instance", "load_instance"]
@@ -49,7 +50,9 @@ __all__ = ["instance_to_obj", "instance_from_obj", "dump_instance", "load_instan
 def _decode_nat(field: str, v) -> int:
     # ASCII digits are exactly 0-9, so this is the grammar 0|[1-9][0-9]*
     if not (isinstance(v, str) and v.isascii() and v.isdigit() and (len(v) == 1 or v[0] != "0")):
-        raise SchemaError("schema.decimal", f"{field}: expected decimal string, got {v!r}")
+        raise SchemaError(
+            "schema.decimal", f"{field}: expected decimal string, got {_shown(v, repr)}"
+        )
     try:
         return int(v)
     except ValueError as exc:  # e.g. the interpreter's int/str digit limit
@@ -78,13 +81,13 @@ def _label_to_obj(label: Label | None):
         return {"kind": "quadratization", "bits": list(label.bits), "k": label.k, "l": label.l}
     if isinstance(label, Index):
         return {"kind": "index", "bit": label.bit, "k": label.k}
-    raise SchemaError("schema.label", f"unknown label {label!r}")
+    raise SchemaError("schema.label", f"unknown label {_shown(label, repr)}")
 
 
 def _label_index(obj, field: str) -> int:
     v = _expect(obj, field, int)
     if v < 0:
-        raise SchemaError("schema.label", f"{field}: negative label index {v}")
+        raise SchemaError("schema.label", f"{field}: negative label index {_shown(v)}")
     return v
 
 
@@ -99,7 +102,7 @@ def _label_from_obj(obj) -> Label | None:
     if kind == "quadratization":
         bits = _expect(obj, "bits", list)
         if len(bits) != 2 or any(type(b) is not int or b not in (0, 1) for b in bits):
-            raise SchemaError("schema.label", f"bad quadratization bits {bits!r}")
+            raise SchemaError("schema.label", f"bad quadratization bits {_shown(bits, repr)}")
         return Quadratization((bits[0], bits[1]), _label_index(obj, "k"), _label_index(obj, "l"))
     if kind == "index":
         return Index(_label_index(obj, "bit"), _label_index(obj, "k"))
@@ -149,7 +152,9 @@ def _triples_from_obj(field: str, entries: list) -> tuple[tuple[int, int, int], 
         if not isinstance(t, list) or len(t) != 3 or not all(
             isinstance(j, int) and not isinstance(j, bool) for j in t
         ):
-            raise SchemaError("schema.triple", f"triple must be a list of 3 ints, got {t!r}")
+            raise SchemaError(
+                "schema.triple", f"triple must be a list of 3 ints, got {_shown(t, repr)}"
+            )
     return tuple(map(tuple, entries))
 
 
@@ -211,11 +216,11 @@ def dump_instance(inst, path) -> None:
 
 
 def load_instance(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             obj = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SchemaError("schema.json", str(exc)) from exc
-    except RecursionError:
-        raise SchemaError("schema.json", "JSON nested too deeply") from None
+        except ValueError as exc:  # bad JSON, bad UTF-8, an int past the digit limit
+            raise SchemaError("schema.json", str(exc)) from exc
+        except RecursionError:
+            raise SchemaError("schema.json", "JSON nested too deeply") from None
     return instance_from_obj(obj)

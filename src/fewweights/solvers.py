@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .core import GuardError, InternalError, KnapsackInstance, SolverResult
+from .core import GuardError, InternalError, KnapsackInstance, SolverResult, _shown
 
 __all__ = [
     "solve_brute_force",
@@ -72,8 +72,8 @@ def _witness(inst: KnapsackInstance, chosen, optimum: int, code: str) -> SolverR
     profit ``optimum``, with both totals recomputed from the witness."""
     weight, profit = inst.subset_weight(chosen), inst.subset_profit(chosen)
     if weight > inst.capacity or profit != optimum:
-        raise InternalError(code, f"witness weight {weight}, profit {profit}; "
-                            f"capacity {inst.capacity}, optimum {optimum}")
+        raise InternalError(code, f"witness weight {_shown(weight)}, profit {_shown(profit)};"
+                            f" capacity {_shown(inst.capacity)}, optimum {_shown(optimum)}")
     return SolverResult(True, chosen, weight, profit)
 
 
@@ -229,8 +229,8 @@ def solve_dp_by_weight(inst: KnapsackInstance) -> SolverResult:
     profit_bits = sum(it.profit for it in inst.items).bit_length()
     cells = (n + 1) * (capacity + 1) * (n // 2**12 + profit_bits // 2**12 + 1)
     if cells > DP_CELL_LIMIT:
-        raise GuardError("solve.dp", f"{n} items at capacity {capacity}: {cells} cells, "
-                         f"limit {DP_CELL_LIMIT}")
+        raise GuardError("solve.dp", f"{n} items at capacity {_shown(capacity)}:"
+                         f" {_shown(cells)} cells, limit {DP_CELL_LIMIT}")
     top = min(capacity, sum(it.weight for it in inst.items))
     dp = [-1] * (top + 1)
     dp[0] = 0

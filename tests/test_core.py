@@ -32,7 +32,9 @@ from fewweights.core import (
     restricted_universe_size,
 )
 from fewweights import core, serialize
-from fewweights.generators import SplitMix64, gen_rss
+from fewweights.frank_tardos import frank_tardos_reduce, simultaneous_approximation
+from fewweights.generators import SplitMix64, gen_rss, gen_x3c
+from fewweights.solvers import solve_dp_by_weight
 
 
 class TestRestrictedTarget:
@@ -613,3 +615,86 @@ def test_universe_members_are_three_power_sums():
             for combo in combinations_with_replacement(range(1, 3 * n + 1), 3)
         }
         assert set(enumerate_restricted_universe(n)) == naive
+
+
+# over the interpreter's default limit of 4300 decimal digits for int/str
+# conversion: an error message that formats such an int with str() would
+# raise ValueError in place of the library's own error
+_HUGE = 10**5000
+
+_HUGE_VALUE_CALLS = {
+    "x3c.element": lambda: X3CInstance(1, ((_HUGE, 1, 2),) * 3),
+    "x3c.count": lambda: X3CInstance(_HUGE, ()),
+    "rss.member": lambda: RestrictedSubsetSumInstance(1, (_HUGE, 1, 2)),
+    "rss.count": lambda: RestrictedSubsetSumInstance(_HUGE, ()),
+    "compose.t": lambda: CompositionConstants(3 * 2**20000, 1),
+    "compose.n": lambda: CompositionConstants(2, -_HUGE),
+    "item.weight": lambda: Item(-_HUGE, 1),
+    "item.profit": lambda: Item(1, -_HUGE),
+    "rng.bound": lambda: SplitMix64(1).randrange(-_HUGE),
+    "ft.bound": lambda: frank_tardos_reduce([1, 2], -_HUGE),
+    "sda.eps": lambda: simultaneous_approximation([1, 2], -_HUGE),
+    "solve.dp": lambda: solve_dp_by_weight(KnapsackInstance((Item(1, 1),), _HUGE, 1)),
+    "gen.size-x3c": lambda: gen_x3c(_HUGE, 1, True),
+    "gen.size-rss": lambda: gen_rss(_HUGE, 1, True),
+    "universe.enumerate": lambda: enumerate_restricted_universe(_HUGE),
+    "schema.decimal": lambda: serialize.instance_from_obj(
+        {"kind": "rss", "n": 1, "numbers": [_HUGE, "84", "84"]}
+    ),
+    "schema.triple": lambda: serialize.instance_from_obj(
+        {"kind": "x3c", "n": 1, "triples": [[_HUGE, 1]] * 3}
+    ),
+    "schema.label": lambda: serialize.instance_from_obj(
+        {
+            "kind": "knapsack",
+            "items": [{"weight": "1", "profit": "1", "label": {"kind": "index", "bit": -_HUGE}}],
+            "capacity": "1",
+            "target": "1",
+        }
+    ),
+}
+
+
+@pytest.fixture
+def default_digit_limit():
+    # cli.main lifts the limit for the whole process, so an earlier CLI test
+    # would hide a message that cannot be formatted under the default
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("case", _HUGE_VALUE_CALLS)
+def test_huge_values_keep_their_error_code(default_digit_limit, case):
+    with pytest.raises((InvariantError, GuardError, SchemaError)) as err:
+        _HUGE_VALUE_CALLS[case]()
+    assert err.value.code == case.split("-")[0]
+
+
+def test_huge_json_literal_is_schema_error(default_digit_limit, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"kind": "rss", "n": {"9" * 5000}, "numbers": []}}')
+    with pytest.raises(SchemaError) as err:
+        serialize.load_instance(path)
+    assert err.value.code == "schema.json"
+
+
+@pytest.mark.parametrize(
+    "value,show,text",
+    [
+        (-(2**20000), str, "-<20001-bit int>"),
+        ((1, 2**20000), str, "(1, <20001-bit int>)"),
+        (["a", 2**20000], repr, "['a', <20001-bit int>]"),
+        (12, str, "12"),
+        ((3,), str, "(3,)"),
+        ("a", str, "a"),
+        ("a", repr, "'a'"),
+    ],
+    ids=["huge", "in-tuple", "in-list", "int", "one-tuple", "str", "repr"],
+)
+def test_shown(default_digit_limit, value, show, text):
+    assert core._shown(value, show) == text

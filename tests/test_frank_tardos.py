@@ -251,14 +251,14 @@ class TestSimultaneousApproximation:
     # alpha is approximated together with 1, as the row v = (1, 3).  At
     # k = 4 the multiplier bound is Q = 2**2 * 4**2 = 64 and the lattice is
     # scaled by lcm(k Q, 3) = 768, so its last row is (-256, -768, 3): a
-    # reduced first row (x, y, z) reads as q = z / 3 and
-    # p = ((x + 256 q) / 768, (y + 768 q) / 768).
+    # reduced first row (x, y, z) gives q = |z| / 3, and p is q * (1, 3) / 3
+    # rounded, whatever x and y are
     @pytest.mark.parametrize(
         "alpha,first,code",
         [
             (Fraction(1, 3), [0, 0, 1], "sda.q-integral"),
             (Fraction(1, 3), [0, 0, 0], "sda.q-zero"),
-            (Fraction(1, 3), [1, 0, 3], "sda.p-integral"),
+            (Fraction(1, 3), [0, 0, -198], "sda.q-bound"),  # q = |-66|
             (Fraction(1, 3), [-256, 0, 3], "sda.quality"),
             (Fraction(1, 3), [0, 0, 198], "sda.q-bound"),
         ],
@@ -268,6 +268,53 @@ class TestSimultaneousApproximation:
         with pytest.raises(InvariantError) as err:
             simultaneous_approximation([alpha.numerator, alpha.denominator], 4)
         assert err.value.code == code
+
+    # for k >= 3 a vector that passes the quality check has
+    # |q v_i / m - p_i| <= 1/k < 1/2, so rounding q v / m gives back the p the
+    # lattice vector encodes: first = a_r * last_row + scale * a, with
+    # (p, q) = (a, a_r) up to the sign of a_r
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=4).filter(any),
+        st.integers(3, 16),
+    )
+    def test_p_is_the_lattice_vectors_p(self, values, k):
+        g = gcd(*values)
+        v = [x // g for x in values]
+        calls = []
+        real = frank_tardos.lll_reduce
+
+        def recorder(basis):
+            out = real(basis)
+            calls.append((basis, out[0]))
+            return out
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(frank_tardos, "lll_reduce", recorder)
+            p, q = simultaneous_approximation(v, k)
+        ((basis, first),) = calls
+        r = len(v)
+        scale, last_row = basis[0][0], basis[r]
+        a_r = first[r] // last_row[r]
+        assert q == abs(a_r)
+        encoded = []
+        for x, y in zip(first[:r], last_row):
+            a_i, rest = divmod(x - a_r * y, scale)
+            assert rest == 0
+            encoded.append(a_i if a_r > 0 else -a_i)
+        assert p == encoded
+
+    # at k = 2 both neighbours of a half pass the quality check; rounding
+    # takes the upper one.  The stub returns the lattice's own last row, whose
+    # multiplier is q = 1, so on v = (1, 2) q v / m = (1/2, 1)
+    def test_half_at_k2_meets_the_contract(self, monkeypatch):
+        v, k = [1, 2], 2
+        monkeypatch.setattr(frank_tardos, "lll_reduce", lambda basis: [basis[-1]])
+        p, q = simultaneous_approximation(v, k)
+        assert (p, q) == ([1, 1], 1)
+        m = max(abs(x) for x in v)
+        assert all(k * abs(q * x - pi * m) <= m for x, pi in zip(v, p))
+        assert 1 <= q <= 2**2 * k**2
 
 
 class TestFrankTardosReduce:

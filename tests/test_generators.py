@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import expand_references
+from fewweights import generators
 from fewweights.composition import count_distinct_profits, count_distinct_weights
 from fewweights.core import GuardError, InvariantError
 from fewweights.generators import (
@@ -173,6 +174,21 @@ class TestSplitMix64:
         rng = SplitMix64(5)
         assert rng.choices(["x"], 1000) == ["x"] * 1000
         assert rng._state == 5
+
+    def test_bound_one_keeps_the_mixed_block(self, monkeypatch):
+        # a bound of 1 between one-word bounds neither takes a word nor
+        # hands the rest of the block back, so one block serves them all
+        mixed = []
+        real = generators._mix
+
+        def counted(z, mask):
+            mixed.append(z)
+            return real(z, mask)
+
+        monkeypatch.setattr(generators, "_mix", counted)
+        draws = SplitMix64(5)._draws([3, 1] * 50)
+        assert draws[1::2] == [0] * 50
+        assert len(mixed) == 1
 
     def test_choices_of_empty_sequence(self):
         assert SplitMix64(5).choices([], 0) == []

@@ -22,6 +22,7 @@ immediately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 from .core import (
@@ -210,6 +211,17 @@ def build_index_items(constants: CompositionConstants) -> list[Item]:
     return items
 
 
+@lru_cache(maxsize=16)
+def _gadgets(t: int, n: int) -> tuple[CompositionConstants, tuple[Item, ...], tuple[Item, ...]]:
+    """The constants, quadratization items and index items for ``t`` inputs
+    of size ``n``; all three depend on ``(t, n)`` alone and are frozen, so
+    repeated compositions at one shape share them."""
+    constants = CompositionConstants(t, n)
+    quad = build_quadratization_items(constants)
+    index = build_index_items(constants)
+    return constants, tuple(quad), tuple(index)
+
+
 def compose(instances: list[RestrictedSubsetSumInstance]) -> ComposedInstance:
     """Pad, build all three item families, and wrap them with the composed
     capacity and target.
@@ -218,13 +230,14 @@ def compose(instances: list[RestrictedSubsetSumInstance]) -> ComposedInstance:
     Item order is fixed: encoding items input-major, then quadratization
     items (off-diagonal pairs in (k, l) order with kinds (1,0), (0,1), (1,1),
     then diagonals), then index items (zero-bit before one-bit per position).
+    Only the encoding items are built per call: the constants and the other
+    two families are built once per ``(t, n)`` and shared, and the layer,
+    dominance and distinct-weight checks still run over every item.
     """
     padded = pad_to_power_of_two(instances)
-    constants = CompositionConstants(len(padded), padded[0].n)
+    constants, quad, index = _gadgets(len(padded), padded[0].n)
     encoding = build_encoding_items(padded, constants)
-    quad = build_quadratization_items(constants)
-    index = build_index_items(constants)
-    items = encoding + quad + index
+    items = (*encoding, *quad, *index)
 
     z, y = constants.index_scale, constants.quad_scale
     # Layer reads are per-item floors summed; they equal floor-of-sum for
@@ -243,7 +256,7 @@ def compose(instances: list[RestrictedSubsetSumInstance]) -> ComposedInstance:
     if not (encoding_profit < y and encoding_profit + sum(it.profit for it in quad) < z):
         raise InternalError("compose.dominance", "a scale unit does not dominate the layers below")
 
-    knapsack = KnapsackInstance(tuple(items), constants.capacity, constants.target)
+    knapsack = KnapsackInstance(items, constants.capacity, constants.target)
     distinct = count_distinct_weights(knapsack)
     bound = restricted_universe_size(constants.n) + len(quad) + len(index)
     if distinct > bound:

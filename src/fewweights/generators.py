@@ -18,6 +18,7 @@ from .core import (
     KnapsackInstance,
     RestrictedSubsetSumInstance,
     X3CInstance,
+    _is_int,
     _shown,
 )
 from .reductions import _RSS_SIZE_LIMIT, x3c_has_exact_cover, x3c_to_rss
@@ -84,6 +85,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
+        _check_int("rng.seed", "seed", seed)
         self._state = seed & _MASK64
 
     def next_word(self) -> int:
@@ -165,6 +167,11 @@ def _mix(z: int, mask: int) -> int:
     return z ^ ((z >> 31) & mask)
 
 
+def _check_int(code: str, name: str, value) -> None:
+    if not _is_int(value):
+        raise InvariantError(code, f"{name} must be an int, got {_shown(value, repr)}")
+
+
 def _random_partition_triples(rng: SplitMix64, n: int) -> list[tuple[int, int, int]]:
     elements = list(range(1, 3 * n + 1))
     rng.shuffle(elements)
@@ -183,6 +190,7 @@ def gen_x3c(n: int, seed: int, want_yes: bool) -> X3CInstance:
     three full partitions would each contain a cover, so they cannot serve
     here.
     """
+    _check_int("gen.n", "size parameter", n)
     if n < 1:
         raise InvariantError("gen.n", "size parameter must be >= 1")
     rng = SplitMix64(seed)
@@ -214,14 +222,24 @@ def gen_x3c(n: int, seed: int, want_yes: bool) -> X3CInstance:
     raise GuardError("gen.x3c-budget", f"no no-instance found in {_RESAMPLE_BUDGET} tries")
 
 
+# the universe {1, 2, 3} has a single triple, so every size-1 cover instance
+# is that triple three times, whatever the seed
+_RSS_YES_SIZE_1 = x3c_to_rss(gen_x3c(1, 0, True))
+_RSS_NO_SIZE_1 = RestrictedSubsetSumInstance(1, RSS_NO_INSTANCE_SIZE_1)
+
+
 def gen_rss(n: int, seed: int, want_yes: bool) -> RestrictedSubsetSumInstance:
     """Restricted instance with a known answer, via the cover reduction.
 
-    Size 1 has no cover-based no-instance, so that one case returns the
-    hardcoded fallback multiset instead.
+    At size 1 the seed does not matter: the one cover instance reduces to
+    the yes-instance (84, 84, 84), and since size 1 has no cover-based
+    no-instance, the no-instance is the hardcoded fallback multiset.  Both
+    are built once, and every size-1 call returns one of the two.
     """
-    if not want_yes and n == 1:
-        return RestrictedSubsetSumInstance(1, RSS_NO_INSTANCE_SIZE_1)
+    _check_int("gen.n", "size parameter", n)
+    _check_int("rng.seed", "seed", seed)
+    if n == 1:
+        return _RSS_YES_SIZE_1 if want_yes else _RSS_NO_SIZE_1
     if want_yes and n > _RSS_SIZE_LIMIT:
         raise GuardError("gen.size", f"n = {_shown(n)}, limit {_RSS_SIZE_LIMIT}")
     return x3c_to_rss(gen_x3c(n, seed, want_yes))

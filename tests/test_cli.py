@@ -712,6 +712,16 @@ class TestKernelize:
         obj = json.loads(capsys.readouterr().out)
         assert obj["kind"] == "knapsack"
 
+    def test_lll_work_budget_bounds_the_reduced_branch(self, tmp_path, capsys):
+        # 24 distinct weights and profits at 2^1024: unbounded, each of the
+        # reduction's LLL calls took 30-42 s
+        src = tmp_path / "k.json"
+        dump_instance(gen_knapsack(100, 24, 24, 2**1024, 1), src)
+        start = time.perf_counter()
+        assert main(["kernelize", str(src)]) in (0, 3)
+        assert time.perf_counter() - start < 10
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestVerify:
     def test_verify_compose_passes(self, capsys):

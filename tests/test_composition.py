@@ -213,6 +213,19 @@ class TestCompose:
             compose([YES1, YES1])
         assert err.value.code == code
 
+    @pytest.mark.parametrize("t, n", [(2, 1), (8, 1), (4, 2)])
+    def test_gadgets_built_once_per_shape(self, t, n):
+        # two compositions at one (t, n) share the constants and the very
+        # quadratization and index items; only the encoding items differ
+        first, second = (
+            compose([gen_rss(n, seed + i, i % 2 == 0) for i in range(t)]) for seed in (0, 100)
+        )
+        gadgets = slice(3 * n * t, None)
+        shared = list(zip(first.knapsack.items[gadgets], second.knapsack.items[gadgets]))
+        assert len(shared) == 3 * comb(t.bit_length() - 1, 2) + 3 * (t.bit_length() - 1)
+        assert all(a is b for a, b in shared)
+        assert first.constants is second.constants
+
     def test_mixed_sizes_rejected(self):
         with pytest.raises(InvariantError):
             compose([YES1, gen_rss(2, 0, True)])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import l1_ball, sign
 from fewweights import frank_tardos
-from fewweights.core import InvariantError
+from fewweights.core import GuardError, InvariantError
 from fewweights.frank_tardos import (
     frank_tardos_reduce,
     lll_reduce,
@@ -372,6 +372,25 @@ class TestFrankTardosReduce:
     def test_rejects_empty(self):
         with pytest.raises(InvariantError):
             frank_tardos_reduce([], 2)
+
+    def test_spent_lll_budget_gives_the_exact_row(self, monkeypatch):
+        # in dimension 3 the size bound is over 2**108
+        w = [2**64 - 1, 3 * 2**62 + 1, -(2**70)]
+        assert frank_tardos_reduce(w, 13) != _exact_row(w)
+        monkeypatch.setattr(frank_tardos, "_LLL_WORK", 0)
+        assert frank_tardos_reduce(w, 13) == _exact_row(w)
+
+    def test_spent_lll_budget_past_the_size_bound_raises(self, monkeypatch):
+        # in dimension 2 at N = 1 the size bound is 2**32
+        monkeypatch.setattr(frank_tardos, "_LLL_WORK", 0)
+        with pytest.raises(GuardError) as err:
+            frank_tardos_reduce([2**40 + 1, -(2**40)], 1)
+        assert err.value.code == "kernel.lll"
+        assert frank_tardos_reduce([2**31 + 1, -(2**31)], 1) == [2**31 + 1, -(2**31)]
+        # the spent row's budget does not outlive it: direct calls are unbounded
+        assert lll_reduce([[4, 1], [1, 3]]) == _reference_lll([[4, 1], [1, 3]])
+        p, q = simultaneous_approximation([2**40 + 1, -(2**40)], 4)
+        assert 1 <= q <= 2**2 * 4**2
 
     def test_exact_row_within_multiplier_bound_skips_lll(self, monkeypatch):
         # 64-bit entries in dimension 13 sit below Q = 2**ceil(13*14/4) * (2N)**13

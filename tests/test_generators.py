@@ -256,12 +256,40 @@ class TestGenRss:
     def test_size_one_fixtures(self):
         assert gen_rss(1, 5, True).numbers == (84, 84, 84)
         assert gen_rss(1, 5, False).numbers == RSS_NO_INSTANCE_SIZE_1
+        # the seed does not matter at size 1: each answer is one instance
+        for want_yes in (True, False):
+            assert all(gen_rss(1, s, want_yes) is gen_rss(1, 0, want_yes) for s in range(16))
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_verdict_matches_label(self, n, seed):
         assert rss_decide(gen_rss(n, seed, True)).feasible
         assert not rss_decide(gen_rss(n, seed, False)).feasible
+
+
+@pytest.mark.parametrize(
+    "fn, args, code",
+    [
+        (SplitMix64, (1.5,), "rng.seed"),
+        (SplitMix64, (True,), "rng.seed"),
+        (gen_rss, (True, 3, False), "gen.n"),
+        (gen_rss, (1.0, 3, False), "gen.n"),
+        (gen_rss, (1.0, 3, True), "gen.n"),
+        (gen_rss, (True, 3, True), "gen.n"),
+        (gen_x3c, (1.0, 3, True), "gen.n"),
+        (gen_x3c, (True, 3, True), "gen.n"),
+        (gen_rss, (1, 1.5, False), "rng.seed"),
+        (gen_rss, (1, 1.5, True), "rng.seed"),
+        (gen_rss, (2, 1.5, True), "rng.seed"),
+        (gen_x3c, (2, True, False), "rng.seed"),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else repr(v),
+)
+def test_size_and_seed_must_be_ints(fn, args, code):
+    # size 1 takes no draws, yet it refuses what every other size refuses
+    with pytest.raises(InvariantError) as err:
+        fn(*args)
+    assert err.value.code == code
 
 
 class TestGenKnapsack:

@@ -36,7 +36,7 @@ from .core import (
 from .generators import SplitMix64, gen_knapsack, gen_rss, gen_x3c
 from .kernel import group, kernelize, kernelize_with_report, solve_grouped
 from .reductions import subset_sum_to_knapsack, x3c_to_rss
-from .serialize import dump_instance, instance_to_obj, load_instance
+from .serialize import _KIND_OF, instance_to_obj, load_instance
 from .solvers import solve_brute_force, solve_dp_by_weight, solve_meet_in_middle
 
 __all__ = ["main", "verify_compose"]
@@ -75,11 +75,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-# the kind each command reads, as a wrong-kind error names it
-_KIND_NAMES = {KnapsackInstance: "a knapsack", RestrictedSubsetSumInstance: "an rss",
-               X3CInstance: "an x3c", SubsetSumInstance: "a subsetsum"}
-
-
 def _load(path: str, cls):
     """The ``cls`` instance in ``path``; every error on it names the file."""
     try:
@@ -87,7 +82,8 @@ def _load(path: str, cls):
     except (SchemaError, InvariantError) as exc:
         raise type(exc)(exc.code, f"{path}: {exc}") from exc
     if not isinstance(inst, cls):
-        raise SchemaError("schema.kind", f"{path}: expected {_KIND_NAMES[cls]} instance")
+        got = _KIND_OF[type(inst)]
+        raise SchemaError("schema.kind", f"{path}: expected kind {_KIND_OF[cls]!r}, got {got!r}")
     return inst
 
 
@@ -146,7 +142,7 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def verify_compose(t: int, n: int, trials: int, seed: int, log=print):
+def verify_compose(t: int, n: int, trials: int, seed: int):
     """Compose planted yes/no patterns and check that meet-in-the-middle's
     verdicts on each composed instance and on its kernel both equal the OR of
     the labels, and that every direct feasible witness is canonical: it hits
@@ -176,7 +172,7 @@ def verify_compose(t: int, n: int, trials: int, seed: int, log=print):
 
     rows = []
     failures = []
-    log(f"pattern{' ' * max(1, t - 4)}verdict kernel expected status")
+    print(f"pattern{' ' * max(1, t - 4)}verdict kernel expected status")
     for pattern in patterns:
         inputs = [gen_rss(n, rng.randrange(2**32), yes) for yes in pattern]
         composed = compose(inputs)
@@ -194,8 +190,8 @@ def verify_compose(t: int, n: int, trials: int, seed: int, log=print):
                 for i, yes in enumerate(pattern)
             )
         bits = "".join("1" if b else "0" for b in pattern)
-        log(f"{bits:<{max(7, t)}} {result.feasible!s:<7} {via_kernel!s:<6} {expected!s:<8}"
-            f" {'pass' if ok else 'FAIL'}")
+        print(f"{bits:<{max(7, t)}} {result.feasible!s:<7} {via_kernel!s:<6} {expected!s:<8}"
+              f" {'pass' if ok else 'FAIL'}")
         rows.append((pattern, result.feasible, via_kernel, expected))
         if not ok:
             failures.append((pattern, inputs))
@@ -209,8 +205,8 @@ def _cmd_verify(args) -> int:
         return 0
     for k, (pattern, inputs) in enumerate(failures):
         for idx, inst in enumerate(inputs):
-            path = Path(f"compose-counterexample-{k}-{idx}.json")
-            dump_instance(inst, path)
+            path = f"compose-counterexample-{k}-{idx}.json"
+            _emit(instance_to_obj(inst), path)
             print(f"counterexample input written: {path}", file=sys.stderr)
     return 1
 

@@ -111,6 +111,12 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _check_int(code: str, name: str, value) -> None:
+    """``InvariantError(code)`` unless ``value`` is an int and not a bool."""
+    if not _is_int(value):
+        raise InvariantError(code, f"{name} must be an int, got {_shown(value, repr)}")
+
+
 def _as_tuple(value, code: str, field: str) -> tuple:
     """``value`` as a tuple, or ``InvariantError(code)`` if it is not
     iterable."""

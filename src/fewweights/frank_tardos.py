@@ -38,7 +38,7 @@ from contextvars import ContextVar
 from math import gcd, inf, lcm
 from operator import index
 
-from .core import GuardError, InternalError, InvariantError, _shown
+from .core import GuardError, InternalError, InvariantError, _check_int, _shown
 
 __all__ = ["lll_reduce", "simultaneous_approximation", "frank_tardos_reduce"]
 
@@ -130,6 +130,8 @@ def _gram_schmidt(b):
         for j in range(i):
             mn, md = mu[i][j]
             norm = _mul_add(norm, (-mn, md), r[j])
+        if not norm[0]:
+            raise InvariantError("lll.basis", f"row {i} is zero or depends on the rows before it")
         norms.append(norm)
     return mu, norms
 
@@ -137,7 +139,8 @@ def _gram_schmidt(b):
 def lll_reduce(basis) -> list[list[int]]:
     """LLL with incremental coefficient updates (no re-orthogonalization).
 
-    Rows must be independent integer vectors.  Returns a new reduced basis
+    Rows must be independent integer vectors of one length, or
+    ``InvariantError("lll.basis")`` is raised.  Returns a new reduced basis
     of ``int`` rows spanning the same lattice.  The Gram-Schmidt quantities
     are exact rationals kept as reduced ``(numerator, denominator)`` pairs
     of ints, which makes the same decisions as ``Fraction`` arithmetic
@@ -146,8 +149,8 @@ def lll_reduce(basis) -> list[list[int]]:
     charged to that row's work budget; called directly it is unbounded."""
     b = [[index(x) for x in row] for row in basis]
     n = len(b)
-    if n <= 1:
-        return b
+    if len({len(row) for row in b}) > 1:
+        raise InvariantError("lll.basis", "rows of unequal length")
     dn, dd = _DELTA
     work = _work.get() or _Work(inf)
     mu, norms = _gram_schmidt(b)
@@ -220,6 +223,7 @@ def simultaneous_approximation(v, k: int):
     r = len(v)
     if not any(v):
         raise InvariantError("sda.dim", "need a nonzero vector")
+    _check_int("sda.eps", "precision k", k)
     if k < 2:
         raise InvariantError("sda.eps", f"precision 1/k needs k >= 2, got {_shown(k)}")
     g = gcd(*v)
@@ -306,6 +310,7 @@ def frank_tardos_reduce(weights, n_bound: int) -> list[int]:
     entries = [index(x) for x in weights]
     if not entries:
         raise InvariantError("ft.dim", "cannot reduce an empty vector")
+    _check_int("ft.bound", "norm budget", n_bound)
     if n_bound < 1:
         raise InvariantError("ft.bound", f"norm budget must be >= 1, got {_shown(n_bound)}")
     distinct = sorted(set(entries))

@@ -18,7 +18,7 @@ from .core import (
     KnapsackInstance,
     RestrictedSubsetSumInstance,
     X3CInstance,
-    _is_int,
+    _check_int,
     _shown,
 )
 from .reductions import _RSS_SIZE_LIMIT, x3c_has_exact_cover, x3c_to_rss
@@ -167,11 +167,6 @@ def _mix(z: int, mask: int) -> int:
     return z ^ ((z >> 31) & mask)
 
 
-def _check_int(code: str, name: str, value) -> None:
-    if not _is_int(value):
-        raise InvariantError(code, f"{name} must be an int, got {_shown(value, repr)}")
-
-
 def _random_partition_triples(rng: SplitMix64, n: int) -> list[tuple[int, int, int]]:
     elements = list(range(1, 3 * n + 1))
     rng.shuffle(elements)
@@ -268,6 +263,10 @@ def gen_knapsack(
     uniformly from the pools.  Capacity and target are uniform over the
     achievable ranges so that both verdicts occur.
     """
+    _check_int("gen.items", "item count", n_items)
+    _check_int("gen.distinct", "distinct count", w_distinct)
+    _check_int("gen.distinct", "distinct count", p_distinct)
+    _check_int("gen.max-value", "max_value", max_value)
     if n_items < 1:
         raise InvariantError("gen.items", "need at least one item")
     if not 1 <= w_distinct <= n_items or not 1 <= p_distinct <= n_items:

@@ -24,6 +24,7 @@ from .core import (
     Item,
     KnapsackInstance,
     SolverResult,
+    _check_int,
     _shown,
 )
 from .frank_tardos import frank_tardos_reduce
@@ -97,8 +98,8 @@ def solve_grouped(g: GroupedInstance) -> SolverResult:
 
     A class's count ``x`` is the sum of its chosen splitting coefficients,
     and the witness ``chosen`` takes the class's first ``x`` items; its
-    totals, summed over those items, must fit ``g.capacity`` and equal the
-    re-encoded optimum, or ``InternalError("kernel.witness")`` is raised.
+    totals, summed over those items, must equal the re-encoded solve's
+    checked totals, or ``InternalError("kernel.witness")`` is raised.
     Meet-in-the-middle's entry budget is the only cost guard
     (``GuardError("solve.mim")``).
     """
@@ -117,10 +118,10 @@ def solve_grouped(g: GroupedInstance) -> SolverResult:
         chosen.extend(taken)
         weight += len(taken) * w
         profit += len(taken) * p
-    if weight > g.capacity or profit != res.achieved_profit:
+    if (weight, profit) != (res.achieved_weight, res.achieved_profit):
         raise InternalError("kernel.witness", f"witness weight {_shown(weight)}, profit"
-                            f" {_shown(profit)}; capacity {_shown(g.capacity)}, optimum"
-                            f" {_shown(res.achieved_profit)}")
+                            f" {_shown(profit)}; split solve weight"
+                            f" {_shown(res.achieved_weight)}, profit {_shown(res.achieved_profit)}")
     return SolverResult(True, frozenset(chosen), weight, profit)
 
 
@@ -179,6 +180,7 @@ def reduce_ilp(g: GroupedInstance) -> GroupedInstance:
 def binary_split(bound: int) -> list[int]:
     """Coefficients 1, 2, 4, ... plus a remainder whose subset sums cover
     exactly ``0..bound``."""
+    _check_int("split.bound", "bound", bound)
     if bound < 0:
         raise InvariantError("split.bound", "bound must be a natural")
     if bound == 0:

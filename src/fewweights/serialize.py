@@ -41,6 +41,7 @@ from .core import (
     SchemaError,
     SubsetSumInstance,
     X3CInstance,
+    _is_int,
     _shown,
 )
 
@@ -72,9 +73,7 @@ def _expect(obj, field: str, types):
     return v
 
 
-def _label_to_obj(label: Label | None):
-    if label is None:
-        return None
+def _label_to_obj(label: Label):
     if isinstance(label, Encoding):
         return {"kind": "encoding", "instance": label.instance, "position": label.position}
     if isinstance(label, Quadratization):
@@ -149,9 +148,7 @@ def _items_from_obj(field: str, entries: list) -> tuple[Item, ...]:
 
 def _triples_from_obj(field: str, entries: list) -> tuple[tuple[int, int, int], ...]:
     for t in entries:
-        if not isinstance(t, list) or len(t) != 3 or not all(
-            isinstance(j, int) and not isinstance(j, bool) for j in t
-        ):
+        if not isinstance(t, list) or len(t) != 3 or not all(map(_is_int, t)):
             raise SchemaError(
                 "schema.triple", f"triple must be a list of 3 ints, got {_shown(t, repr)}"
             )

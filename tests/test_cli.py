@@ -231,12 +231,14 @@ class TestBoundary:
         [(prefix, kind) for prefix, want in _COMMANDS for kind in _FILES if kind != want],
     )
     def test_wrong_kind(self, tmp_path, capsys, prefix, wrong):
+        want = next(kind for p, kind in _COMMANDS if p == prefix)
         src = tmp_path / "in.json"
         dump_instance(_FILES[wrong], src)
         assert main(self._argv(prefix, src, tmp_path)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error[schema.kind]: {src}: expected ")
-        assert "Traceback" not in err
+        # the message names both kinds
+        assert capsys.readouterr().err == (
+            f"error[schema.kind]: {src}: expected kind {want!r}, got {wrong!r}\n"
+        )
 
     @pytest.mark.parametrize(
         "prefix, kind", [(p, k) for p, k in _COMMANDS if p != ["compose"]]
@@ -649,6 +651,27 @@ class TestWitnessRule:
         assert err.startswith("error[kernel.witness]")
         assert "Traceback" not in err
 
+    def test_grouped_totals_must_match_the_split_solve(self, tmp_path, capsys, monkeypatch):
+        # the same witness, but the split solve reports a weight one too low:
+        # the decoded totals disagree with it even though they fit capacity
+        import dataclasses
+
+        import fewweights.kernel as kernel
+
+        solve = kernel.solve_meet_in_middle
+
+        def off_by_one(inst):
+            res = solve(inst)
+            return dataclasses.replace(res, achieved_weight=res.achieved_weight - 1)
+
+        monkeypatch.setattr(kernel, "solve_meet_in_middle", off_by_one)
+        src = tmp_path / "k.json"
+        dump_instance(KnapsackInstance((Item(3, 5), Item(2, 4)), 5, 9), src)
+        assert main(["solve", "--method", "grouped", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[kernel.witness]")
+        assert "Traceback" not in err
+
 
 class TestKernelize:
     def test_report_and_output(self, tmp_path, capsys):
@@ -734,13 +757,13 @@ class TestVerify:
         assert main(["verify", "compose", "--t", "64", "--n", "1"]) == 3
 
     def test_verify_compose_library_entry(self):
-        ok, rows, failures = verify_compose(2, 2, 0, 7, log=lambda *_: None)
+        ok, rows, failures = verify_compose(2, 2, 0, 7)
         assert ok and not failures
         assert len(rows) == 3  # all-no plus the two single-yes patterns
 
     @pytest.mark.parametrize("t, n", [(8, 2), (4, 3), (8, 3), (16, 1), (32, 1), (16, 2)])
     def test_verify_compose_wider_scales(self, t, n):
-        ok, rows, failures = verify_compose(t, n, 0, 1, log=lambda *_: None)
+        ok, rows, failures = verify_compose(t, n, 0, 1)
         assert ok and not failures
         assert len(rows) == t + 1  # all-no plus every single-yes pattern
 
@@ -758,7 +781,7 @@ class TestVerify:
             return dataclasses.replace(res, achieved_weight=res.achieved_weight - 1)
 
         monkeypatch.setattr(cli, "solve_meet_in_middle", short)
-        ok, rows, failures = verify_compose(2, 1, 0, 3, log=lambda *_: None)
+        ok, rows, failures = verify_compose(2, 1, 0, 3)
         assert not ok
         assert [f[0] for f in failures] == [(True, False), (False, True)]
 
@@ -767,7 +790,7 @@ class TestVerify:
         import fewweights.cli as cli
 
         monkeypatch.setattr(cli, "kernelize", lambda inst: KnapsackInstance((), 0, 1))
-        ok, rows, failures = verify_compose(2, 1, 0, 3, log=lambda *_: None)
+        ok, rows, failures = verify_compose(2, 1, 0, 3)
         assert not ok
         assert [f[0] for f in failures] == [(True, False), (False, True)]
         # (verdict, kernel verdict, expected) for all-no and both single-yes
@@ -781,7 +804,7 @@ class TestVerify:
 
         bad_input = RestrictedSubsetSumInstance(1, (84, 84, 84))
 
-        def fake_verify(t, n, trials, seed, log=print):
+        def fake_verify(t, n, trials, seed):
             return False, [((True,), False, False, True)], [((True,), [bad_input])]
 
         monkeypatch.setattr(cli, "verify_compose", fake_verify)
@@ -789,6 +812,9 @@ class TestVerify:
         assert main(["verify", "compose", "--t", "2", "--n", "1"]) == 1
         dumped = list(tmp_path.glob("compose-counterexample-*.json"))
         assert dumped and load_instance(dumped[0]) == bad_input
+        # the same bytes as the library's own writer
+        dump_instance(bad_input, tmp_path / "expected.json")
+        assert dumped[0].read_bytes() == (tmp_path / "expected.json").read_bytes()
         assert "counterexample" in capsys.readouterr().err
 
 

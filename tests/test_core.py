@@ -32,8 +32,9 @@ from fewweights.core import (
     restricted_universe_size,
 )
 from fewweights import core, serialize
-from fewweights.frank_tardos import frank_tardos_reduce, simultaneous_approximation
-from fewweights.generators import SplitMix64, gen_rss, gen_x3c
+from fewweights.frank_tardos import frank_tardos_reduce, lll_reduce, simultaneous_approximation
+from fewweights.generators import SplitMix64, gen_knapsack, gen_rss, gen_x3c
+from fewweights.kernel import binary_split
 from fewweights.solvers import solve_dp_by_weight
 
 
@@ -673,6 +674,42 @@ def test_huge_values_keep_their_error_code(default_digit_limit, case):
     with pytest.raises((InvariantError, GuardError, SchemaError)) as err:
         _HUGE_VALUE_CALLS[case]()
     assert err.value.code == case.split("-")[0]
+
+
+# a bad argument to a library function raises the package's own error, not a
+# bare ZeroDivisionError, TypeError or AttributeError, and is never accepted
+_BAD_ARGUMENT_CALLS = [
+    pytest.param("lll.basis", lambda: lll_reduce([[1, 2], [2, 4]]), id="lll-dependent"),
+    pytest.param(
+        "lll.basis", lambda: lll_reduce([[1, 2, 3], [2, 4, 6], [0, 0, 1]]), id="lll-dependent-3"
+    ),
+    pytest.param("lll.basis", lambda: lll_reduce([[0, 0], [1, 1]]), id="lll-zero-row"),
+    pytest.param("lll.basis", lambda: lll_reduce([[1, 2], [3]]), id="lll-ragged"),
+    pytest.param("ft.bound", lambda: frank_tardos_reduce([3, 5, -7], 1.5), id="ft-float"),
+    pytest.param("ft.bound", lambda: frank_tardos_reduce([3, 5, -7], True), id="ft-bool"),
+    pytest.param(
+        "ft.bound",
+        lambda: frank_tardos_reduce([2**70 + 1, 3 * 2**66, -(2**71)], 2.0),
+        id="ft-float-wide",
+    ),
+    pytest.param(
+        "sda.eps", lambda: simultaneous_approximation([2**40 + 1, -(2**40)], 2.5), id="sda-float"
+    ),
+    pytest.param("split.bound", lambda: binary_split(1.5), id="split-float"),
+    pytest.param("split.bound", lambda: binary_split(True), id="split-bool"),
+    pytest.param("gen.items", lambda: gen_knapsack(5.0, 1, 1, 9, 3), id="gen-items-float"),
+    pytest.param("gen.distinct", lambda: gen_knapsack(5, 1.0, 1, 9, 3), id="gen-w-float"),
+    pytest.param("gen.max-value", lambda: gen_knapsack(5, 1, 1, 9.5, 3), id="gen-max-float"),
+    pytest.param("gen.items", lambda: gen_knapsack(True, 1, 1, 9, 3), id="gen-items-bool"),
+    pytest.param("gen.max-value", lambda: gen_knapsack(5, 1, 1, True, 3), id="gen-max-bool"),
+]
+
+
+@pytest.mark.parametrize("code, call", _BAD_ARGUMENT_CALLS)
+def test_bad_arguments_raise_their_code(code, call):
+    with pytest.raises(InvariantError) as err:
+        call()
+    assert err.value.code == code
 
 
 def test_huge_json_literal_is_schema_error(default_digit_limit, tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import tracemalloc
 
@@ -11,7 +13,7 @@ import fewweights.solvers as solvers
 from conftest import knapsack_reference, random_knapsack
 from fewweights.composition import compose, index_labels
 from fewweights.core import GuardError, Index, Item, KnapsackInstance
-from fewweights.generators import gen_rss
+from fewweights.generators import gen_knapsack, gen_rss
 from fewweights.kernel import group, solve_grouped
 from fewweights.solvers import (
     BRUTE_FORCE_LIMIT,
@@ -268,6 +270,56 @@ class TestComposedInstances:
         )
         assert index_items == index_labels(3, comp.constants.lg_t)
         assert solve_grouped(group(yes)).feasible
+
+
+def _tied_knapsacks():
+    """Up to 20 items drawn from pools of at most three weights and three
+    profits, so most items share their weight, their profit or both."""
+    rng = random.Random(2026)
+    for _ in range(400):
+        w_pool = [rng.randrange(5) for _ in range(rng.randrange(1, 4))]
+        p_pool = [rng.randrange(5) for _ in range(rng.randrange(1, 4))]
+        items = tuple(
+            Item(rng.choice(w_pool), rng.choice(p_pool)) for _ in range(rng.randrange(21))
+        )
+        total_w = sum(it.weight for it in items)
+        total_p = sum(it.profit for it in items)
+        yield KnapsackInstance(items, rng.randrange(total_w + 2), rng.randrange(total_p + 2))
+
+
+def _composed_knapsacks():
+    """Compositions at t = 2..16 and n = 1, 2: all-no, last-yes, middle-yes."""
+    for t in (2, 4, 8, 16):
+        for n in (1, 2):
+            for yes in (None, t - 1, t // 2):
+                yield compose([gen_rss(n, 10 * t + i, i == yes) for i in range(t)]).knapsack
+
+
+# few-weight inputs of 1024-2048 items that meet-in-the-middle decided in
+# under 0.4 s when it still extended its fronts one item at a time
+_FEW_WEIGHT_SHAPES = [
+    (1024, 2, 8, 256, 7),
+    (1024, 2, 8, 256, 8),
+    (2048, 2, 8, 256, 7),
+    (2048, 2, 8, 256, 8),
+    (4096, 4, 4, 256, 7),
+    (1024, 3, 3, 64, 7),
+    (1024, 3, 3, 64, 8),
+]
+
+
+def test_mim_verdicts_pinned():
+    # sha256 over (feasible, achieved profit) of every input, witnesses left
+    # out: 400 tied small instances, 24 compositions and 7 few-weight inputs,
+    # as decided by the item-at-a-time search
+    rows = []
+    few = (gen_knapsack(n, w, p, 2**bits, seed) for n, w, p, bits, seed in _FEW_WEIGHT_SHAPES)
+    for inst in (*_tied_knapsacks(), *_composed_knapsacks(), *few):
+        res = solve_meet_in_middle(inst)
+        rows.append([res.feasible, str(res.achieved_profit)])
+    assert sum(feasible for feasible, _ in rows) == 268 + 16 + 3
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "7107eda2d486336d9ad9fe5765928655a1e93480532a6aaa5fa2da69cc18cf97"
 
 
 _SMALL = st.sampled_from([0, 1, 2, 7])

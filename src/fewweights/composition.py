@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
+from weakref import WeakKeyDictionary
 
 from .core import (
     Encoding,
@@ -146,11 +147,18 @@ def pad_to_power_of_two(
     return list(instances) + [instances[-1]] * (t - len(instances))
 
 
+# encoding items per input, keyed by the input's value and held only while
+# some equal input is alive, then per (t, input index); the items are frozen,
+# so compositions of equal inputs share them
+_ENCODING: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def build_encoding_items(
     instances: list[RestrictedSubsetSumInstance], constants: CompositionConstants
 ) -> list[Item]:
     """One item per input number: weight ``shift + a``, profit additionally
-    boosted by ``3 * block`` per input index."""
+    boosted by ``3 * block`` per input index.  Each input's items are built
+    once per ``(t, index)`` and shared while an equal input is alive."""
     if len(instances) != constants.t:
         raise InvariantError(
             "compose.count", f"expected {_shown(constants.t)} inputs, got {len(instances)}"
@@ -159,10 +167,15 @@ def build_encoding_items(
     for i, inst in enumerate(instances):
         if inst.n != constants.n:
             raise InvariantError("compose.mixed-n", "input size mismatch")
-        boost = i * 3 * constants.block
-        for j, a in enumerate(inst.numbers):
-            w = constants.shift + a
-            items.append(Item(w, w + boost, Encoding(i, j)))
+        groups = _ENCODING.setdefault(inst, {})
+        group = groups.get((constants.t, i))
+        if group is None:
+            boost = i * 3 * constants.block
+            group = groups[constants.t, i] = tuple(
+                Item(constants.shift + a, constants.shift + a + boost, Encoding(i, j))
+                for j, a in enumerate(inst.numbers)
+            )
+        items += group
     return items
 
 
@@ -230,9 +243,10 @@ def compose(instances: list[RestrictedSubsetSumInstance]) -> ComposedInstance:
     Item order is fixed: encoding items input-major, then quadratization
     items (off-diagonal pairs in (k, l) order with kinds (1,0), (0,1), (1,1),
     then diagonals), then index items (zero-bit before one-bit per position).
-    Only the encoding items are built per call: the constants and the other
-    two families are built once per ``(t, n)`` and shared, and the layer,
-    dominance and distinct-weight checks still run over every item.
+    The constants and the gadget families are built once per ``(t, n)``,
+    and each input's encoding items once per ``(t, index)`` while an equal
+    input is alive; all are shared, and the layer, dominance and
+    distinct-weight checks still run over every item.
     """
     padded = pad_to_power_of_two(instances)
     constants, quad, index = _gadgets(len(padded), padded[0].n)

@@ -13,6 +13,7 @@ over the capacity or off the search's optimum raises ``InternalError``.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import itemgetter
 
 from .core import GuardError, InternalError, KnapsackInstance, SolverResult, _shown
@@ -109,23 +110,32 @@ def solve_brute_force(inst: KnapsackInstance) -> SolverResult:
     return _witness(inst, _mask_indices(best_mask), best_p, "solve.brute")
 
 
-def _extend_front(front: list, i: int, item, capacity: int, floor: int) -> list:
-    """Add item ``i`` to a Pareto front of ``(weight, profit, mask)`` entries.
+def _extend_front(front: list, start: int, cls, capacity: int, floor: int) -> list:
+    """Add a class of equal-weight items to a Pareto front of ``(weight,
+    profit, mask)`` entries, ``cls`` being the class's items at sorted
+    positions ``start`` on, best first, that fit the capacity together.
 
     The front is sorted by weight, and each entry is strictly heavier and
-    strictly more profitable than the one before it.  Shifted entries over
-    ``capacity`` are dropped, and so are entries whose profit is below
-    ``floor``; they form the front's light end, so this is the same as
-    pruning after the dominance step.  At equal weight the stable sort puts
-    the entry without item ``i`` first, so on equal (weight, profit) it is
-    kept.
+    strictly more profitable than the one before it.  The merge takes the
+    front and, for each k, the front shifted by the first k items of
+    ``cls``: any other k of the class weigh the same and profit no more.
+    Shifted entries over ``capacity`` are dropped, and so are entries whose
+    profit is below ``floor``; they form the front's light end, so this is
+    the same as pruning after the dominance step.  At equal weight the
+    stable sort puts the entry with fewer items of the class first, so on
+    equal (weight, profit) it is kept.
     """
-    w_i, p_i, bit = item.weight, item.profit, 1 << i
-    room = capacity - w_i
-    shifted = [(w + w_i, p + p_i, m | bit) for w, p, m in front if w <= room]
+    merged = list(front)
+    w_k = p_k = bits = 0
+    for k, item in enumerate(cls, start):
+        w_k += item.weight
+        p_k += item.profit
+        bits |= 1 << k
+        room = capacity - w_k
+        merged += [(w + w_k, p + p_k, m | bits) for w, p, m in front if w <= room]
     out = []
     last_w, last_p = -1, floor - 1
-    for entry in sorted(front + shifted, key=itemgetter(0)):
+    for entry in sorted(merged, key=itemgetter(0)):
         w, p, _ = entry
         if p > last_p:
             if w == last_w:
@@ -142,12 +152,17 @@ def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
     (Horowitz–Sahni split with Nemhauser–Ullmann dominance pruning and a
     profit bound on each front).
 
-    The items are sorted by weight (stable, so equal weights keep index
-    order).  The prefix grows from the lightest item and the suffix from the
-    heaviest; each next item goes to whichever front is smaller, ties to the
-    prefix.  A front entry is a subset of its side that no other subset of
-    that side dominates by weight and profit, so the best fitting pair over
-    the two fronts is a maximum-profit subset.
+    The items are sorted by weight and grouped into classes of equal
+    weight; each class is ordered by profit, highest first, and on equal
+    profit the later index comes first.  The prefix grows from the lightest
+    class and the suffix from the heaviest; each next class goes whole to
+    whichever front is smaller, ties to the prefix.  Within a class the k
+    first items outweigh no other k of it and profit at least as much
+    (the exchange argument of Kellerer–Pferschy–Pisinger 2004), so one
+    step adds the class as the front shifted by each such prefix.  A front
+    entry is a subset of its side that no other subset of that side
+    dominates by weight and profit, so the best fitting pair over the two
+    fronts is a maximum-profit subset.
 
     Each extension also drops every entry whose profit plus the profit of
     all items not yet placed on its side is below ``inst.target``.  This is
@@ -160,43 +175,59 @@ def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
 
     The verdict and the achieved (maximum) profit agree with brute force.
     Ties between witnesses are broken deterministically over the sorted
-    order: among maximum-profit pairs the lightest prefix-front entry wins,
-    paired with the heaviest suffix-front entry that fits; while a front is
-    built, the entry without the later-added item is kept on equal (weight,
+    order: a witness takes a prefix of each class's order; among
+    maximum-profit pairs the lightest prefix-front entry wins, paired with
+    the heaviest suffix-front entry that fits; while a front is built, the
+    entry with fewer items of the added class is kept on equal (weight,
     profit).  ``chosen`` holds the original item indices.
 
     Cost is counted in front entries read and kept, not items, each weighted
-    by value and mask width: an extension keeps at most twice what it reads,
-    and one that could push the total past ``MEET_IN_MIDDLE_BUDGET`` is
-    refused first.
+    by value and mask width.  A class step reads the front and keeps at most
+    ``steps + 1`` times its size, ``steps`` being how many first-k prefixes
+    of the class fit the capacity; one whose ``(steps + 2)`` front sizes
+    could push the total past ``MEET_IN_MIDDLE_BUDGET`` is refused before
+    its entries are built.  A class of one item that fits is charged three
+    front sizes.
     """
     n = len(inst.items)
     capacity, target = inst.capacity, inst.target
-    order = sorted(range(n), key=lambda i: inst.items[i].weight)
+    weights = [it.weight for it in inst.items]
+    profits = [it.profit for it in inst.items]
+    # stable sorts: by weight, within a weight by profit from the highest, and
+    # on equal profit by index from the last
+    order = sorted(range(n - 1, -1, -1), key=profits.__getitem__, reverse=True)
+    order.sort(key=weights.__getitem__)
     items = [inst.items[i] for i in order]
-    # profit of the items not yet placed on the prefix's / the suffix's side
-    prefix_rest = suffix_rest = sum(it.profit for it in items)
+    # [start, end) of each run of equal weight in sorted order
+    cuts = [k for k in range(1, n) if weights[order[k]] != weights[order[k - 1]]]
+    classes = list(zip([0, *cuts], [*cuts, n])) if n else []
+    # profit of the first k sorted items; the prefix's side has yet to place
+    # the items past its last class, the suffix's side those before its first
+    acc = [0, *accumulate(it.profit for it in items)]
     prefix = [(0, 0, 0)]
     suffix = [(0, 0, 0)]
-    lo, hi = 0, n - 1
+    lo, hi = 0, len(classes) - 1
     spent = 0
-    cost = 1 + (capacity.bit_length() + prefix_rest.bit_length() + n) // 2**10
+    cost = 1 + (capacity.bit_length() + acc[n].bit_length() + n) // 2**10
     while lo <= hi:
         front = min(prefix, suffix, key=len)
-        if spent + 3 * len(front) * cost > MEET_IN_MIDDLE_BUDGET:
+        start, end = classes[lo] if front is prefix else classes[hi]
+        weight = items[start].weight
+        steps = end - start if weight == 0 else min(end - start, capacity // weight)
+        if spent + (steps + 2) * len(front) * cost > MEET_IN_MIDDLE_BUDGET:
             raise GuardError(
                 "solve.mim",
                 f"{n} items need over {MEET_IN_MIDDLE_BUDGET // cost} front entries,"
                 f" charged {cost} each for value and mask width against a budget of"
                 f" {MEET_IN_MIDDLE_BUDGET}",
             )
+        cls = items[start:start + steps]
         if front is prefix:
-            prefix_rest -= items[lo].profit
-            prefix = grown = _extend_front(front, lo, items[lo], capacity, target - prefix_rest)
+            floor = target - (acc[n] - acc[end])
+            prefix = grown = _extend_front(front, start, cls, capacity, floor)
             lo += 1
         else:
-            suffix_rest -= items[hi].profit
-            suffix = grown = _extend_front(front, hi, items[hi], capacity, target - suffix_rest)
+            suffix = grown = _extend_front(front, start, cls, capacity, target - acc[start])
             hi -= 1
         spent += (len(front) + len(grown)) * cost
 

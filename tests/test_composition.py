@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from itertools import product
@@ -225,6 +226,37 @@ class TestCompose:
         assert len(shared) == 3 * comb(t.bit_length() - 1, 2) + 3 * (t.bit_length() - 1)
         assert all(a is b for a, b in shared)
         assert first.constants is second.constants
+
+    @pytest.mark.parametrize("t, n", [(2, 1), (8, 1), (4, 2)])
+    def test_encoding_items_built_once_per_input(self, t, n):
+        # equal inputs at one (t, n) share the very encoding items of each
+        # input index, though at n = 2 each call builds a new input object
+        first, second = (
+            compose([gen_rss(n, 7 + i, i % 2 == 0) for i in range(t)]) for _ in range(2)
+        )
+        encoding = slice(0, 3 * n * t)
+        shared = list(zip(first.knapsack.items[encoding], second.knapsack.items[encoding]))
+        assert all(a is b for a, b in shared)
+        # one input at two indexes gets one set of items per index
+        twice = compose([first.inputs[0]] * t).knapsack.items
+        assert twice[0].profit < twice[3 * n].profit
+
+    def test_encoding_cache_lets_dropped_inputs_go(self):
+        # the cache holds an input's items only while an equal input is alive
+        import fewweights.composition as composition
+
+        gc.collect()
+        before = len(composition._ENCODING)
+        # reversed numbers: inputs no other test holds an equal copy of
+        inputs = [
+            RestrictedSubsetSumInstance(2, gen_rss(2, 300 + i, True).numbers[::-1])
+            for i in range(2)
+        ]
+        compose(inputs)
+        assert len(composition._ENCODING) == before + 2
+        del inputs
+        gc.collect()
+        assert len(composition._ENCODING) == before
 
     def test_mixed_sizes_rejected(self):
         with pytest.raises(InvariantError):

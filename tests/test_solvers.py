@@ -122,12 +122,12 @@ class TestDeterminism:
         assert solve_brute_force(inst).chosen == frozenset({1, 2})
 
     def test_mim_tie_break(self):
-        # equal weights keep index order, so item 0 starts the prefix front
-        # and item 1 the suffix front; the lightest prefix entry (empty) pairs
-        # with the heaviest fitting suffix entry
+        # equal weights form one class, ordered by profit and then later index
+        # first, so a witness that takes one of two equal items takes item 1
         inst = KnapsackInstance((Item(1, 5), Item(1, 5)), 1, 5)
         assert solve_meet_in_middle(inst).chosen == frozenset({1})
-        # on equal (weight, profit) the entry without the later item stays
+        # on equal (weight, profit) the entry with fewer items of the added
+        # class stays, so the zero item 0 is left out
         inst = KnapsackInstance((Item(0, 0), Item(1, 5)), 1, 5)
         assert solve_meet_in_middle(inst).chosen == frozenset({1})
         # the split is over ascending weight: the lighter item 1 starts the
@@ -388,3 +388,21 @@ def test_mim_target_at_optimum(drawn, offset):
         assert inst.subset_weight(got.chosen) == got.achieved_weight
         assert inst.subset_profit(got.chosen) == got.achieved_profit
         assert got.achieved_weight <= inst.capacity
+
+
+@settings(max_examples=300, deadline=None)
+@given(_knapsacks_and_optimum(), st.sampled_from([-1, 0]))
+def test_mim_witness_takes_class_prefixes(drawn, offset):
+    # within each class of equal weight a witness takes the first items of
+    # the class's order: profit highest first, then the later index
+    items, capacity, optimum = drawn
+    inst = KnapsackInstance(items, capacity, max(0, optimum + offset))
+    res = solve_meet_in_middle(inst)
+    assert res.feasible and res.achieved_profit == optimum
+    for weight in {it.weight for it in items}:
+        order = sorted(
+            (i for i, it in enumerate(items) if it.weight == weight),
+            key=lambda i: (-items[i].profit, -i),
+        )
+        taken = [i in res.chosen for i in order]
+        assert taken == sorted(taken, reverse=True), (weight, order, res.chosen)

@@ -45,9 +45,9 @@ __all__ = ["main", "verify_compose"]
 # seconds, each with its largest `--trials`; outside them a large t would
 # spend minutes in gen_rss before the oracle's entry budget could refuse
 # anything.  Through the CLI (Python 3.11, 2 vCPUs, seeds 0 and 1), at each
-# n = 1 cap `verify compose` takes 0.9-1.7 s, and at each other cap it took
-# 1.6-3.7 s when last timed; the all-no and single-yes patterns always run,
-# and at (16, 2) those 17 alone take about 2.7 s
+# n = 1 cap `verify compose` takes 0.9-1.7 s, and at each other cap
+# 0.9-2.0 s; the all-no and single-yes patterns always run, and at (16, 2)
+# those 17 and 15 more take 1.7-1.9 s
 _VERIFY_SCALES = {
     (2, 1): 4096, (4, 1): 2048, (8, 1): 1024, (16, 1): 512, (32, 1): 128,
     (2, 2): 256, (4, 2): 128, (8, 2): 64, (16, 2): 32,

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from weakref import WeakKeyDictionary
 
 from .core import (
     Encoding,
@@ -137,6 +136,8 @@ def pad_to_power_of_two(
     the last instance; the OR of the answers is unchanged."""
     if not instances:
         raise InvariantError("compose.empty", "need at least one input instance")
+    if not all(isinstance(inst, RestrictedSubsetSumInstance) for inst in instances):
+        raise InvariantError("compose.input", "inputs must be restricted subset-sum instances")
     sizes = {inst.n for inst in instances}
     if len(sizes) != 1:
         raise InvariantError("compose.mixed-n", f"inputs mix sizes {sorted(sizes)}")
@@ -147,36 +148,30 @@ def pad_to_power_of_two(
     return list(instances) + [instances[-1]] * (t - len(instances))
 
 
-# encoding items per input, keyed by the input's value and held only while
-# some equal input is alive, then per (t, input index); the items are frozen,
-# so compositions of equal inputs share them
-_ENCODING: WeakKeyDictionary = WeakKeyDictionary()
+@lru_cache(maxsize=4096)
+def _encoding_item(t: int, n: int, i: int, j: int, a: int) -> Item:
+    """The item for number ``a`` at position ``j`` of input ``i``; it is
+    frozen, so equal inputs at one ``(t, n)`` share it.  The 4096 items kept
+    hold about 15 MB at n = 400."""
+    c = _gadgets(t, n)[0]
+    return Item(c.shift + a, c.shift + a + i * 3 * c.block, Encoding(i, j))
 
 
 def build_encoding_items(
     instances: list[RestrictedSubsetSumInstance], constants: CompositionConstants
 ) -> list[Item]:
     """One item per input number: weight ``shift + a``, profit additionally
-    boosted by ``3 * block`` per input index.  Each input's items are built
-    once per ``(t, index)`` and shared while an equal input is alive."""
-    if len(instances) != constants.t:
-        raise InvariantError(
-            "compose.count", f"expected {_shown(constants.t)} inputs, got {len(instances)}"
-        )
-    items = []
-    for i, inst in enumerate(instances):
-        if inst.n != constants.n:
-            raise InvariantError("compose.mixed-n", "input size mismatch")
-        groups = _ENCODING.setdefault(inst, {})
-        group = groups.get((constants.t, i))
-        if group is None:
-            boost = i * 3 * constants.block
-            group = groups[constants.t, i] = tuple(
-                Item(constants.shift + a, constants.shift + a + boost, Encoding(i, j))
-                for j, a in enumerate(inst.numbers)
-            )
-        items += group
-    return items
+    boosted by ``3 * block`` per input index, each from ``_encoding_item``."""
+    t, n = constants.t, constants.n
+    if len(instances) != t:
+        raise InvariantError("compose.count", f"expected {_shown(t)} inputs, got {len(instances)}")
+    if any(inst.n != n for inst in instances):
+        raise InvariantError("compose.mixed-n", "input size mismatch")
+    return [
+        _encoding_item(t, n, i, j, a)
+        for i, inst in enumerate(instances)
+        for j, a in enumerate(inst.numbers)
+    ]
 
 
 def build_quadratization_items(constants: CompositionConstants) -> list[Item]:
@@ -244,8 +239,8 @@ def compose(instances: list[RestrictedSubsetSumInstance]) -> ComposedInstance:
     items (off-diagonal pairs in (k, l) order with kinds (1,0), (0,1), (1,1),
     then diagonals), then index items (zero-bit before one-bit per position).
     The constants and the gadget families are built once per ``(t, n)``,
-    and each input's encoding items once per ``(t, index)`` while an equal
-    input is alive; all are shared, and the layer, dominance and
+    and the 4096 encoding items used last are kept for equal inputs at the
+    same index; all are shared, and the layer, dominance and
     distinct-weight checks still run over every item.
     """
     padded = pad_to_power_of_two(instances)

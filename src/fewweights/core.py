@@ -293,6 +293,7 @@ _UNIVERSE_GUARD = 5 * 10**5
 def restricted_target(n: int) -> int:
     """Common target for all size-``n`` restricted instances: the sum of
     ``(3n+1)**j`` over ``j = 1..3n``.  Always even."""
+    _check_int("universe.n", "size parameter", n)
     if n < 1:
         raise InvariantError("universe.n", "size parameter must be >= 1")
     m = 3 * n
@@ -311,6 +312,8 @@ def membership_in_restricted_universe(a: int, n: int):
     with every exponent in ``1..3n``.  An exponent past ``3n`` is refused
     where it is found, before any power above ``base**(3n + 1)`` is built.
     """
+    _check_int("universe.member", "candidate", a)
+    _check_int("universe.n", "size parameter", n)
     if n < 1:
         raise InvariantError("universe.n", "size parameter must be >= 1")
     m = 3 * n
@@ -346,6 +349,7 @@ def restricted_universe_size(n: int) -> int:
 
 def enumerate_restricted_universe(n: int) -> list[int]:
     """All distinct universe members for size ``n``, ascending."""
+    _check_int("universe.n", "size parameter", n)
     if n < 1:
         raise InvariantError("universe.n", "size parameter must be >= 1")
     if restricted_universe_size(n) > _UNIVERSE_GUARD:
@@ -369,6 +373,9 @@ def digit_solutions(value: int, base: int, length: int) -> list[tuple[int, ...]]
     rest solve ``(value - x_0) / base``, smaller ``x_0`` first.  For ``value
     = sum_{i<length} base**i`` the unique solution is the all-ones vector.
     """
+    _check_int("digits.value", "value", value)
+    _check_int("digits.base", "base", base)
+    _check_int("digits.length", "length", length)
     if base < 2:
         raise InvariantError("digits.base", "base must be >= 2")
     if length < 1:

@@ -95,6 +95,7 @@ class SplitMix64:
     def randrange(self, bound: int) -> int:
         """Uniform draw from 0..bound-1 by unbiased rejection; bounds beyond
         64 bits draw several words."""
+        _check_int("rng.bound", "bound", bound)
         if bound <= 0:
             raise InvariantError("rng.bound", f"bound must be positive, got {_shown(bound)}")
         if bound == 1:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 from itertools import product
@@ -241,22 +240,22 @@ class TestCompose:
         twice = compose([first.inputs[0]] * t).knapsack.items
         assert twice[0].profit < twice[3 * n].profit
 
-    def test_encoding_cache_lets_dropped_inputs_go(self):
-        # the cache holds an input's items only while an equal input is alive
+    def test_encoding_cache_keeps_at_most_its_bound(self):
+        # more distinct inputs at one (t, n) than the cache holds items: it
+        # never holds more than its bound, and ends full
         import fewweights.composition as composition
 
-        gc.collect()
-        before = len(composition._ENCODING)
-        # reversed numbers: inputs no other test holds an equal copy of
-        inputs = [
-            RestrictedSubsetSumInstance(2, gen_rss(2, 300 + i, True).numbers[::-1])
-            for i in range(2)
-        ]
-        compose(inputs)
-        assert len(composition._ENCODING) == before + 2
-        del inputs
-        gc.collect()
-        assert len(composition._ENCODING) == before
+        info = composition._encoding_item.cache_info
+        keys = set()
+        for first in range(1000, 1000 + 16 * 32, 32):
+            inputs = [gen_rss(4, first + i, True) for i in range(32)]
+            compose(inputs)
+            keys.update(
+                (i, j, a) for i, inst in enumerate(inputs) for j, a in enumerate(inst.numbers)
+            )
+            assert info().currsize <= info().maxsize
+        assert len(keys) > info().maxsize
+        assert info().currsize == info().maxsize
 
     def test_mixed_sizes_rejected(self):
         with pytest.raises(InvariantError):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewweights.composition import CompositionConstants
+from fewweights.composition import CompositionConstants, compose
 from fewweights.core import (
     Encoding,
     GuardError,
@@ -702,6 +702,19 @@ _BAD_ARGUMENT_CALLS = [
     pytest.param("gen.max-value", lambda: gen_knapsack(5, 1, 1, 9.5, 3), id="gen-max-float"),
     pytest.param("gen.items", lambda: gen_knapsack(True, 1, 1, 9, 3), id="gen-items-bool"),
     pytest.param("gen.max-value", lambda: gen_knapsack(5, 1, 1, True, 3), id="gen-max-bool"),
+    pytest.param("rng.bound", lambda: SplitMix64(1).randrange(2.5), id="rng-bound-float"),
+    pytest.param("rng.bound", lambda: SplitMix64(1).randrange(True), id="rng-bound-bool"),
+    pytest.param("universe.n", lambda: restricted_target(1.0), id="target-float"),
+    pytest.param("universe.n", lambda: restricted_target(True), id="target-bool"),
+    pytest.param(
+        "universe.n", lambda: membership_in_restricted_universe(84, 1.5), id="member-n-float"
+    ),
+    pytest.param(
+        "universe.member", lambda: membership_in_restricted_universe(84.0, 1), id="member-float"
+    ),
+    pytest.param("universe.n", lambda: enumerate_restricted_universe(True), id="universe-bool"),
+    pytest.param("digits.base", lambda: digit_solutions(5, 2.0, 2), id="digits-base-float"),
+    pytest.param("compose.input", lambda: compose([gen_x3c(2, 1, True)] * 2), id="compose-x3c"),
 ]
 
 

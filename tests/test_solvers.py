@@ -313,13 +313,19 @@ def test_mim_verdicts_pinned():
     # out: 400 tied small instances, 24 compositions and 7 few-weight inputs,
     # as decided by the item-at-a-time search
     rows = []
+    witnesses = []
     few = (gen_knapsack(n, w, p, 2**bits, seed) for n, w, p, bits, seed in _FEW_WEIGHT_SHAPES)
     for inst in (*_tied_knapsacks(), *_composed_knapsacks(), *few):
         res = solve_meet_in_middle(inst)
         rows.append([res.feasible, str(res.achieved_profit)])
+        witnesses.append([res.feasible, str(res.achieved_weight), str(res.achieved_profit),
+                          sorted(res.chosen or ())])
     assert sum(feasible for feasible, _ in rows) == 268 + 16 + 3
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "7107eda2d486336d9ad9fe5765928655a1e93480532a6aaa5fa2da69cc18cf97"
+    # and over the witnesses too, as the class-at-a-time search picks them
+    digest = hashlib.sha256(json.dumps(witnesses).encode()).hexdigest()
+    assert digest == "6a79a0c7e2021e12891922211f1b9c88cf1f5a7a1956e102f46d7121c26f2862"
 
 
 _SMALL = st.sampled_from([0, 1, 2, 7])

@@ -35,6 +35,8 @@ from .core import (
     Label,
     Quadratization,
     RestrictedSubsetSumInstance,
+    _as_tuple,
+    _check_int,
     _is_int,
     _shown,
     restricted_target,
@@ -279,6 +281,8 @@ def compose(instances: list[RestrictedSubsetSumInstance]) -> ComposedInstance:
 def quadratization_labels(i: int, lg_t: int) -> frozenset[Label]:
     """Quadratization items a canonical index-``i`` solution picks; bit pairs
     that are both zero contribute nothing."""
+    _check_int("witness.instance", "instance index", i)
+    _check_int("compose.t", "bit count lg_t", lg_t)
     labels = set()
     for k in range(lg_t):
         for l in range(k + 1, lg_t):
@@ -292,6 +296,8 @@ def quadratization_labels(i: int, lg_t: int) -> frozenset[Label]:
 
 def index_labels(i: int, lg_t: int) -> frozenset[Label]:
     """Index items spelling out ``i`` in binary, one per bit position."""
+    _check_int("witness.instance", "instance index", i)
+    _check_int("compose.t", "bit count lg_t", lg_t)
     return frozenset(Index((i >> k) & 1, k) for k in range(lg_t))
 
 
@@ -308,9 +314,12 @@ def canonical_solution(
     """
     constants = composed.constants
     t, n = constants.t, constants.n
+    _check_int("witness.instance", "instance index", which)
     if not 0 <= which < t:
         raise InvariantError("witness.instance", f"instance index {_shown(which)} out of range")
-    witness = list(witness)
+    witness = _as_tuple(witness, "witness.cardinality", "witness")
+    for p in witness:
+        _check_int("witness.position", "witness position", p)
     positions = sorted(set(witness))
     if len(witness) != n or len(positions) != n:
         raise InvariantError(

@@ -290,12 +290,17 @@ class SolverResult:
 _UNIVERSE_GUARD = 5 * 10**5
 
 
-def restricted_target(n: int) -> int:
-    """Common target for all size-``n`` restricted instances: the sum of
-    ``(3n+1)**j`` over ``j = 1..3n``.  Always even."""
+def _check_size(n) -> None:
+    """``InvariantError("universe.n")`` unless ``n`` is an int of at least 1."""
     _check_int("universe.n", "size parameter", n)
     if n < 1:
         raise InvariantError("universe.n", "size parameter must be >= 1")
+
+
+def restricted_target(n: int) -> int:
+    """Common target for all size-``n`` restricted instances: the sum of
+    ``(3n+1)**j`` over ``j = 1..3n``.  Always even."""
+    _check_size(n)
     m = 3 * n
     # the geometric series base + ... + base**m, whose ratio less one is m
     return ((m + 1) ** (m + 1) - (m + 1)) // m
@@ -313,9 +318,7 @@ def membership_in_restricted_universe(a: int, n: int):
     where it is found, before any power above ``base**(3n + 1)`` is built.
     """
     _check_int("universe.member", "candidate", a)
-    _check_int("universe.n", "size parameter", n)
-    if n < 1:
-        raise InvariantError("universe.n", "size parameter must be >= 1")
+    _check_size(n)
     m = 3 * n
     base = m + 1
     # lg base < bits / k, so base**j <= 2**(a.bit_length() - 1) <= a at the
@@ -343,15 +346,13 @@ def membership_in_restricted_universe(a: int, n: int):
 def restricted_universe_size(n: int) -> int:
     """Number of distinct universe members: multisets of three exponents out
     of ``3n``, i.e. ``(3n)(3n+1)(3n+2)/6``."""
+    _check_size(n)
     m = 3 * n
     return m * (m + 1) * (m + 2) // 6
 
 
 def enumerate_restricted_universe(n: int) -> list[int]:
     """All distinct universe members for size ``n``, ascending."""
-    _check_int("universe.n", "size parameter", n)
-    if n < 1:
-        raise InvariantError("universe.n", "size parameter must be >= 1")
     if restricted_universe_size(n) > _UNIVERSE_GUARD:
         raise GuardError("universe.enumerate", f"n={_shown(n)} has over {_UNIVERSE_GUARD} members")
     base = 3 * n + 1

@@ -110,42 +110,6 @@ def solve_brute_force(inst: KnapsackInstance) -> SolverResult:
     return _witness(inst, _mask_indices(best_mask), best_p, "solve.brute")
 
 
-def _extend_front(front: list, start: int, cls, capacity: int, floor: int) -> list:
-    """Add a class of equal-weight items to a Pareto front of ``(weight,
-    profit, mask)`` entries, ``cls`` being the class's items at sorted
-    positions ``start`` on, best first, that fit the capacity together.
-
-    The front is sorted by weight, and each entry is strictly heavier and
-    strictly more profitable than the one before it.  The merge takes the
-    front and, for each k, the front shifted by the first k items of
-    ``cls``: any other k of the class weigh the same and profit no more.
-    Shifted entries over ``capacity`` are dropped, and so are entries whose
-    profit is below ``floor``; they form the front's light end, so this is
-    the same as pruning after the dominance step.  At equal weight the
-    stable sort puts the entry with fewer items of the class first, so on
-    equal (weight, profit) it is kept.
-    """
-    merged = list(front)
-    w_k = p_k = bits = 0
-    for k, item in enumerate(cls, start):
-        w_k += item.weight
-        p_k += item.profit
-        bits |= 1 << k
-        room = capacity - w_k
-        merged += [(w + w_k, p + p_k, m | bits) for w, p, m in front if w <= room]
-    out = []
-    last_w, last_p = -1, floor - 1
-    for entry in sorted(merged, key=itemgetter(0)):
-        w, p, _ = entry
-        if p > last_p:
-            if w == last_w:
-                out[-1] = entry
-            else:
-                out.append(entry)
-            last_w, last_p = w, p
-    return out
-
-
 def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
     """Build the Pareto front of a prefix and of a suffix of the items in
     ascending weight order, then combine them in one two-pointer sweep
@@ -159,10 +123,13 @@ def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
     whichever front is smaller, ties to the prefix.  Within a class the k
     first items outweigh no other k of it and profit at least as much
     (the exchange argument of Kellerer–Pferschy–Pisinger 2004), so one
-    step adds the class as the front shifted by each such prefix.  A front
-    entry is a subset of its side that no other subset of that side
-    dominates by weight and profit, so the best fitting pair over the two
-    fronts is a maximum-profit subset.
+    step merges the front with its copies shifted by each such prefix that
+    fits the capacity and keeps, for each weight, the merge's first most
+    profitable entry if it beats every lighter one.  So a front is sorted by
+    weight, each entry strictly heavier and strictly more profitable than
+    the one before it, and an entry is a subset of its side that no other
+    subset of that side dominates by weight and profit; the best fitting
+    pair over the two fronts is a maximum-profit subset.
 
     Each extension also drops every entry whose profit plus the profit of
     all items not yet placed on its side is below ``inst.target``.  This is
@@ -170,8 +137,10 @@ def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
     and each part (and every entry that dominates it) passes the bound; an
     entry that fails it fails it again after every later extension.  So the
     verdict and the maximum profit of a feasible instance are those of the
-    unbounded fronts.  With target 0 the bound drops nothing.  A front may
-    end up empty, and then the instance is infeasible.
+    unbounded fronts.  As profits rise along a front, the entries the bound
+    drops are its light end, and dropping them within the dominance step
+    keeps what dropping them after it would.  With target 0 the bound drops
+    nothing.  A front may end up empty, and then the instance is infeasible.
 
     The verdict and the achieved (maximum) profit agree with brute force.
     Ties between witnesses are broken deterministically over the sorted
@@ -179,7 +148,8 @@ def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
     maximum-profit pairs the lightest prefix-front entry wins, paired with
     the heaviest suffix-front entry that fits; while a front is built, the
     entry with fewer items of the added class is kept on equal (weight,
-    profit).  ``chosen`` holds the original item indices.
+    profit), as the merge lists it first and sorts by weight stably.
+    ``chosen`` holds the original item indices.
 
     Cost is counted in front entries read and kept, not items, each weighted
     by value and mask width.  A class step reads the front and keeps at most
@@ -197,13 +167,13 @@ def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
     # on equal profit by index from the last
     order = sorted(range(n - 1, -1, -1), key=profits.__getitem__, reverse=True)
     order.sort(key=weights.__getitem__)
-    items = [inst.items[i] for i in order]
+    weights = [weights[i] for i in order]  # in sorted order from here on
     # [start, end) of each run of equal weight in sorted order
-    cuts = [k for k in range(1, n) if weights[order[k]] != weights[order[k - 1]]]
+    cuts = [k for k in range(1, n) if weights[k] != weights[k - 1]]
     classes = list(zip([0, *cuts], [*cuts, n])) if n else []
     # profit of the first k sorted items; the prefix's side has yet to place
     # the items past its last class, the suffix's side those before its first
-    acc = [0, *accumulate(it.profit for it in items)]
+    acc = [0, *accumulate(profits[i] for i in order)]
     prefix = [(0, 0, 0)]
     suffix = [(0, 0, 0)]
     lo, hi = 0, len(classes) - 1
@@ -212,7 +182,7 @@ def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
     while lo <= hi:
         front = min(prefix, suffix, key=len)
         start, end = classes[lo] if front is prefix else classes[hi]
-        weight = items[start].weight
+        weight = weights[start]
         steps = end - start if weight == 0 else min(end - start, capacity // weight)
         if spent + (steps + 2) * len(front) * cost > MEET_IN_MIDDLE_BUDGET:
             raise GuardError(
@@ -221,13 +191,30 @@ def solve_meet_in_middle(inst: KnapsackInstance) -> SolverResult:
                 f" charged {cost} each for value and mask width against a budget of"
                 f" {MEET_IN_MIDDLE_BUDGET}",
             )
-        cls = items[start:start + steps]
+        # the front, and the front shifted by each first-k prefix of the class
+        # that fits, the items at sorted positions start to k - 1
+        merged = list(front)
+        for k in range(start + 1, start + steps + 1):
+            w_k, p_k, bits = (k - start) * weight, acc[k] - acc[start], (1 << k) - (1 << start)
+            room = capacity - w_k
+            merged += [(w + w_k, p + p_k, m | bits) for w, p, m in front if w <= room]
+        merged.sort(key=itemgetter(0))
+        floor = target - (acc[n] - acc[end] if front is prefix else acc[start])
+        grown = []
+        last_w, last_p = -1, floor - 1
+        for entry in merged:
+            w, p, _ = entry
+            if p > last_p:
+                if w == last_w:
+                    grown[-1] = entry
+                else:
+                    grown.append(entry)
+                last_w, last_p = w, p
         if front is prefix:
-            floor = target - (acc[n] - acc[end])
-            prefix = grown = _extend_front(front, start, cls, capacity, floor)
+            prefix = grown
             lo += 1
         else:
-            suffix = grown = _extend_front(front, start, cls, capacity, target - acc[start])
+            suffix = grown
             hi -= 1
         spent += (len(front) + len(grown)) * cost
 

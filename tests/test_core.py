@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewweights.composition import CompositionConstants, compose
+from fewweights.composition import (
+    CompositionConstants,
+    canonical_solution,
+    compose,
+    index_labels,
+    quadratization_labels,
+)
 from fewweights.core import (
     Encoding,
     GuardError,
@@ -676,6 +682,9 @@ def test_huge_values_keep_their_error_code(default_digit_limit, case):
     assert err.value.code == case.split("-")[0]
 
 
+# two copies of the size-1 yes-input, for canonical_solution's arguments
+_PAIR = compose([gen_rss(1, 0, True)] * 2)
+
 # a bad argument to a library function raises the package's own error, not a
 # bare ZeroDivisionError, TypeError or AttributeError, and is never accepted
 _BAD_ARGUMENT_CALLS = [
@@ -715,6 +724,20 @@ _BAD_ARGUMENT_CALLS = [
     pytest.param("universe.n", lambda: enumerate_restricted_universe(True), id="universe-bool"),
     pytest.param("digits.base", lambda: digit_solutions(5, 2.0, 2), id="digits-base-float"),
     pytest.param("compose.input", lambda: compose([gen_x3c(2, 1, True)] * 2), id="compose-x3c"),
+    pytest.param("universe.n", lambda: restricted_universe_size(1.5), id="size-float"),
+    pytest.param("universe.n", lambda: restricted_universe_size(True), id="size-bool"),
+    pytest.param("universe.n", lambda: restricted_universe_size(-1), id="size-negative"),
+    pytest.param("witness.instance", lambda: index_labels(1.5, 3), id="index-labels-float"),
+    pytest.param("compose.t", lambda: quadratization_labels(1, 2.0), id="quad-labels-float"),
+    pytest.param(
+        "witness.position", lambda: canonical_solution(_PAIR, 0, [0.5]), id="canonical-float"
+    ),
+    pytest.param(
+        "witness.cardinality", lambda: canonical_solution(_PAIR, 0, 5), id="canonical-int"
+    ),
+    pytest.param(
+        "witness.instance", lambda: canonical_solution(_PAIR, True, [0]), id="canonical-bool"
+    ),
 ]
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -17,6 +19,7 @@ from fewweights.frank_tardos import (
     simultaneous_approximation,
 )
 from fewweights.generators import gen_knapsack
+from fewweights.kernel import group
 
 
 def norm_bound(r: int, n: int) -> int:
@@ -458,3 +461,47 @@ class TestFrankTardosReduce:
     def test_rejects_zero_budget(self):
         with pytest.raises(InvariantError):
             frank_tardos_reduce([1], 0)
+
+
+# the kernel-sweep's gen_knapsack shapes (w# = p# = a at 2**bits)
+_ROW_SHAPES = ((2, 64), (3, 64), (4, 64), (8, 64), (2, 256), (3, 256), (4, 256))
+# sha256 over the outcome of every row below, at each LLL work budget: the
+# reduced row, or the guard's code
+_PINNED_ROW_OUTCOMES = "769ced087f831c5f961256120c5117e947a243a25374f65424bfc0418e2407c8"
+
+
+def _reduce_ilp_rows():
+    """The weight row and the profit row ``reduce_ilp`` builds for each
+    grouped input, with its norm budget."""
+    for seed in range(6):
+        for a, bits in _ROW_SHAPES:
+            g = group(gen_knapsack(24 + seed % 7, a, a, 2**bits, seed))
+            budget = g.item_count + 1
+            yield [w for w, _, _ in g.classes] + [-g.capacity], budget
+            yield [-p for _, p, _ in g.classes] + [g.target], budget
+
+
+def test_row_outcomes_pinned(monkeypatch):
+    # every exit is taken: a lattice row that is shorter, one that is not,
+    # an exact level, a spent LLL budget, and the size-bound guard
+    outcomes = []
+    exact_rows = []
+    guards = []
+    for work in (24_000_000, 100_000, 10_000):
+        monkeypatch.setattr(frank_tardos, "_LLL_WORK", work)
+        exact = guarded = 0
+        for row, budget in _reduce_ilp_rows():
+            try:
+                out = frank_tardos_reduce(row, budget)
+            except GuardError as err:
+                outcomes.append(err.code)
+                guarded += 1
+                continue
+            outcomes.append(out)
+            exact += out == _exact_row(row)
+        exact_rows.append(exact)
+        guards.append(guarded)
+    assert len(outcomes) == 3 * 84
+    assert (exact_rows, guards) == ([36, 60, 72], [0, 0, 12])
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == _PINNED_ROW_OUTCOMES

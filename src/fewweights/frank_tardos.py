@@ -16,21 +16,23 @@ plain ints: a level's row ``w`` stands for ``w / m`` with ``m = max |w_i|``,
 and its residue is the row ``q * w - m * p``.  Only LLL's Gram-Schmidt state
 is rational, kept as reduced ``(numerator, denominator)`` pairs of ints.
 
-The reduction never makes a row longer.  Its fallback is the exact row: the
-vector divided by the gcd of its entries, which keeps every sign.  A level
-whose row, divided by its gcd, has its largest entry within the multiplier
-bound ``Q`` is approximated exactly, without LLL; at the first level that
-makes the answer the exact row itself.  The levels keep a lower bound on the
-stitched row's largest entry, and the loop stops as soon as it reaches the
-exact row's, so LLL is never run for a row that cannot be shorter.  Either
-fallback row is no longer than the lattice row would be, so the size bound
-above still holds.
+The reduction never makes a row longer, by one rule: the answer is the
+exact row (the vector divided by the gcd of its entries, which keeps every
+sign) unless a lattice row strictly shorter than it is finished within the
+LLL work budget.  A level whose row, divided by its gcd, has its largest
+entry within the multiplier bound ``Q`` is approximated exactly, without
+LLL; at the first level that makes the lattice row the exact row itself.
+The levels keep a lower bound on the lattice row's largest entry, and the
+loop stops as soon as it reaches the exact row's, so LLL is never run for a
+row that cannot be shorter.  The exact row is no longer than the lattice
+row would be, so the size bound above holds whenever a lattice row is
+finished.
 
 LLL's work on one row is budgeted: each Lovasz test and size reduction is
 charged the bit length of the largest number it reads, and a row that
-spends ``_LLL_WORK`` gives up for the exact row.  That row keeps every sign
-too, but it meets the size bound only when its entries do; if they do not,
-the reduction raises ``GuardError("kernel.lll")``.
+spends ``_LLL_WORK`` leaves its lattice row unfinished.  The exact row keeps
+every sign, but it meets the size bound only when its entries do; if they
+do not, the reduction raises ``GuardError("kernel.lll")``.
 """
 from __future__ import annotations
 
@@ -258,39 +260,6 @@ def simultaneous_approximation(v, k: int):
     return p, q
 
 
-def _lattice_row(w: list[int], n_bound: int, ceiling: int) -> list[int] | None:
-    """The Frank-Tardos row of ``w``, or ``None`` when its largest entry is
-    not below ``ceiling``; the loop stops as soon as that is certain."""
-    k = 2 * n_bound
-    q_bound = _multiplier_bound(len(w), k)
-    levels = []
-    # lower bound on the final row's largest entry: at a level's argmax
-    # coordinate |out| >= scale * q - M >= (2N - 1) * q * M, where M is the
-    # largest entry of the deeper row, and M >= 1 when the residue is nonzero
-    least = 1
-    while any(w):
-        g = gcd(*w)
-        w = [x // g for x in w]
-        m = max(abs(x) for x in w)
-        if m <= q_bound:
-            # w / m is exact within the multiplier bound: no residue
-            p, q = w, m
-        else:
-            p, q = simultaneous_approximation(w, k)
-        # coordinates at the max (and all zeros) round exactly, so the support
-        # strictly shrinks and the loop ends after at most dim(w) levels
-        w = [q * x - m * pi for x, pi in zip(w, p)]
-        least *= q * (k - 1 if any(w) else 1)
-        if least >= ceiling:
-            return None
-        levels.append(p)
-    out = [0] * len(w)
-    for p in reversed(levels):
-        scale = k * max(abs(x) for x in out) + 1
-        out = [scale * pi + di for pi, di in zip(p, out)]
-    return out if max(abs(x) for x in out) < ceiling else None
-
-
 def frank_tardos_reduce(weights, n_bound: int) -> list[int]:
     """Reduce an integer vector to a small integer vector agreeing in sign
     with it against every integer ``b`` with ``sum |b_i| <= n_bound``.
@@ -299,13 +268,13 @@ def frank_tardos_reduce(weights, n_bound: int) -> list[int]:
     afterwards; grouping the entries of any ``b`` can only lower its l1-norm,
     so the contract carries over and equal coordinates provably stay equal.
 
-    The result is the exact row (the distinct entries divided by their gcd)
-    whenever that row is within the multiplier bound ``Q`` or no longer than
-    the lattice row, so ``max |v_i|`` never exceeds that of the exact row.
-    It is the exact row too when the lattice row's LLL calls run past their
-    work budget, unless the exact row's largest entry exceeds the size bound
-    ``2**(4 r**3) * N**(r**2 + 2 r)`` for its ``r`` distinct entries: that
-    raises ``GuardError("kernel.lll")``.
+    One rule decides the result: it is the exact row (the distinct entries
+    divided by their gcd) unless the lattice row is strictly shorter and its
+    LLL calls finish within their work budget, so ``max |v_i|`` never
+    exceeds that of the exact row.  A row whose budget runs out raises
+    ``GuardError("kernel.lll")`` instead when the exact row's largest entry
+    exceeds the size bound ``2**(4 r**3) * N**(r**2 + 2 r)`` for its ``r``
+    distinct entries.
     """
     entries = [index(x) for x in weights]
     if not entries:
@@ -317,9 +286,29 @@ def frank_tardos_reduce(weights, n_bound: int) -> list[int]:
     g = gcd(*distinct) or 1
     exact = [v // g for v in distinct]
     ceiling = max(abs(v) for v in exact)
+    k = 2 * n_bound
+    q_bound = _multiplier_bound(len(exact), k)
+    w, levels = exact, []
+    # lower bound on the lattice row's largest entry: at a level's argmax
+    # coordinate |out| >= scale * q - M >= (2N - 1) * q * M, where M is the
+    # largest entry of the deeper row, and M >= 1 when the residue is nonzero
+    least = 1
     token = _work.set(_Work(_LLL_WORK))
     try:
-        reduced = _lattice_row(exact, n_bound, ceiling) or exact
+        while any(w) and least < ceiling:
+            g = gcd(*w)
+            w = [x // g for x in w]
+            m = max(abs(x) for x in w)
+            if m <= q_bound:
+                # w / m is exact within the multiplier bound: no residue
+                p, q = w, m
+            else:
+                p, q = simultaneous_approximation(w, k)
+            # coordinates at the max (and all zeros) round exactly, so the support
+            # strictly shrinks and the loop ends after at most dim(w) levels
+            w = [q * x - m * pi for x, pi in zip(w, p)]
+            least *= q * (k - 1 if any(w) else 1)
+            levels.append(p)
     except _OutOfWork:
         r = len(exact)
         bits = 4 * r**3
@@ -330,8 +319,16 @@ def frank_tardos_reduce(weights, n_bound: int) -> list[int]:
                 f"LLL work budget spent in dimension {r}, and the exact row's largest"
                 f" entry, of {ceiling.bit_length()} bits, exceeds 2^(4r^3) * N^(r^2 + 2r)",
             ) from None
-        reduced = exact
+        least = ceiling  # the exact row
     finally:
         _work.reset(token)
+    reduced = exact
+    if least < ceiling:
+        out = [0] * len(exact)
+        for p in reversed(levels):
+            scale = k * max(abs(x) for x in out) + 1
+            out = [scale * pi + di for pi, di in zip(p, out)]
+        if max(abs(x) for x in out) < ceiling:
+            reduced = out
     lookup = dict(zip(distinct, reduced))
     return [lookup[v] for v in entries]

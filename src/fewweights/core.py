@@ -158,6 +158,11 @@ class Item:
             raise InvariantError("item.weight", f"negative weight {_shown(w)}")
         if p < 0:
             raise InvariantError("item.profit", f"negative profit {_shown(p)}")
+        if self.label is not None and not isinstance(self.label, Label):
+            raise InvariantError(
+                "item.label",
+                f"label must be an Encoding, Quadratization or Index, not {type(self.label).__name__}",
+            )
 
 
 @dataclass(frozen=True)

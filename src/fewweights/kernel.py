@@ -24,7 +24,9 @@ from .core import (
     Item,
     KnapsackInstance,
     SolverResult,
+    _as_tuple,
     _check_int,
+    _is_int,
     _shown,
 )
 from .frank_tardos import frank_tardos_reduce
@@ -46,11 +48,32 @@ __all__ = [
 @dataclass(frozen=True)
 class GroupedInstance:
     """Multiplicity view of a knapsack instance: one ``(weight, profit, item
-    indices)`` entry per nonempty class, sorted by weight, then profit."""
+    indices)`` entry per nonempty class, sorted by weight, then profit.
+
+    Weights, profits, capacity and target must be naturals and each class's
+    indices a tuple, or ``InvariantError("grouped.*")`` is raised; the
+    indices themselves are not read, so the check costs one step per class."""
 
     classes: tuple[tuple[int, int, tuple[int, ...]], ...]
     capacity: int
     target: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "classes", _as_tuple(self.classes, "grouped.classes", "classes"))
+        for c in self.classes:
+            if not (isinstance(c, tuple) and len(c) == 3):
+                raise InvariantError("grouped.classes", "a class is a (weight, profit, members) tuple")
+            w, p, members = c
+            if not _is_int(w) or w < 0:
+                raise InvariantError("grouped.weight", "class weights must be naturals")
+            if not _is_int(p) or p < 0:
+                raise InvariantError("grouped.profit", "class profits must be naturals")
+            if not isinstance(members, tuple):
+                raise InvariantError("grouped.members", "class members must be a tuple")
+        if not _is_int(self.capacity) or self.capacity < 0:
+            raise InvariantError("grouped.capacity", "capacity must be a natural")
+        if not _is_int(self.target) or self.target < 0:
+            raise InvariantError("grouped.target", "target must be a natural")
 
     @property
     def weights(self) -> tuple[int, ...]:

@@ -78,9 +78,7 @@ def _label_to_obj(label: Label):
         return {"kind": "encoding", "instance": label.instance, "position": label.position}
     if isinstance(label, Quadratization):
         return {"kind": "quadratization", "bits": list(label.bits), "k": label.k, "l": label.l}
-    if isinstance(label, Index):
-        return {"kind": "index", "bit": label.bit, "k": label.k}
-    raise SchemaError("schema.label", f"unknown label {_shown(label, repr)}")
+    return {"kind": "index", "bit": label.bit, "k": label.k}
 
 
 def _label_index(obj, field: str) -> int:

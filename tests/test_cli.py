@@ -547,8 +547,8 @@ class TestIOErrors:
 
 
 class TestLabels:
-    """Label fields that are not naturals, or bits that are not 0 or 1, are
-    schema errors."""
+    """Label kinds the format lacks, label fields that are not naturals, and
+    bits that are not 0 or 1 are schema errors."""
 
     @pytest.mark.parametrize(
         "label",
@@ -561,6 +561,7 @@ class TestLabels:
             {"kind": "encoding", "instance": 0, "position": -2},
             {"kind": "index", "bit": -1, "k": 0},
             {"kind": "index", "bit": 0, "k": -3},
+            {"kind": "bogus"},
         ],
     )
     def test_bad_label_is_input_error(self, tmp_path, capsys, label):

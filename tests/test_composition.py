@@ -143,6 +143,15 @@ class TestItemFamilies:
             assert sum(it.weight for it in block_items) == 3 * c.block
             assert sum(it.profit for it in block_items) == 3 * c.block + 9 * n * c.block * i
 
+    def test_encoding_items_refuse_bad_inputs(self):
+        c = CompositionConstants(2, 1)
+        with pytest.raises(InvariantError) as err:
+            build_encoding_items([YES1], c)
+        assert err.value.code == "compose.count"
+        with pytest.raises(InvariantError) as err:
+            build_encoding_items([YES1, gen_rss(2, 0, True)], c)
+        assert err.value.code == "compose.mixed-n"
+
     def test_quadratization_single_item(self):
         c = CompositionConstants(2, 1)
         (item,) = build_quadratization_items(c)

@@ -40,7 +40,7 @@ from fewweights.core import (
 from fewweights import core, serialize
 from fewweights.frank_tardos import frank_tardos_reduce, lll_reduce, simultaneous_approximation
 from fewweights.generators import SplitMix64, gen_knapsack, gen_rss, gen_x3c
-from fewweights.kernel import binary_split
+from fewweights.kernel import GroupedInstance, binary_split, ilp_to_knapsack, reduce_ilp
 from fewweights.solvers import solve_dp_by_weight
 
 
@@ -737,6 +737,42 @@ _BAD_ARGUMENT_CALLS = [
     ),
     pytest.param(
         "witness.instance", lambda: canonical_solution(_PAIR, True, [0]), id="canonical-bool"
+    ),
+    pytest.param("item.label", lambda: Item(1, 2, "x"), id="item-label-str"),
+    pytest.param(
+        "grouped.capacity",
+        lambda: reduce_ilp(GroupedInstance(((3, 2, (0,)),), -1, 4)),
+        id="grouped-capacity-negative",
+    ),
+    pytest.param(
+        "grouped.target",
+        lambda: ilp_to_knapsack(GroupedInstance(((3, 2, (0,)),), 1, -1)),
+        id="grouped-target-negative",
+    ),
+    pytest.param(
+        "grouped.members",
+        lambda: reduce_ilp(GroupedInstance(((3, 2, 5),), 1, 1)),
+        id="grouped-members-int-reduce",
+    ),
+    pytest.param(
+        "grouped.members",
+        lambda: ilp_to_knapsack(GroupedInstance(((3, 2, 5),), 1, 1)),
+        id="grouped-members-int-split",
+    ),
+    pytest.param(
+        "grouped.weight",
+        lambda: ilp_to_knapsack(GroupedInstance(((True, 2, (0,)),), 1, 1)),
+        id="grouped-weight-bool",
+    ),
+    pytest.param(
+        "grouped.profit",
+        lambda: ilp_to_knapsack(GroupedInstance(((3, -2, (0,)),), 1, 1)),
+        id="grouped-profit-negative",
+    ),
+    pytest.param(
+        "grouped.classes",
+        lambda: ilp_to_knapsack(GroupedInstance(((3, 2),), 1, 1)),
+        id="grouped-class-pair",
     ),
 ]
 

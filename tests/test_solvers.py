@@ -100,6 +100,17 @@ class TestPairedRandom:
                 assert a.achieved_profit == b.achieved_profit
 
 
+    def test_heavy_high_half_brute_vs_dp(self):
+        # 20 items put two past brute force's 18-item low half; the high-half
+        # subsets holding the 200-weight item alone exceed the capacity
+        rng = random.Random(19)
+        items = [Item(rng.randrange(1, 30), rng.randrange(1, 30)) for _ in range(18)]
+        inst = KnapsackInstance((*items, Item(200, 1000), Item(150, 900)), 180, 0)
+        a = solve_brute_force(inst)
+        assert a.achieved_profit == solve_dp_by_weight(inst).achieved_profit
+        assert 19 in a.chosen and 18 not in a.chosen
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self):
         rng = random.Random(5)

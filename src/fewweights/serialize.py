@@ -78,6 +78,7 @@ def _label_to_obj(label: Label):
         return {"kind": "encoding", "instance": label.instance, "position": label.position}
     if isinstance(label, Quadratization):
         return {"kind": "quadratization", "bits": list(label.bits), "k": label.k, "l": label.l}
+    # Item admits no other label
     return {"kind": "index", "bit": label.bit, "k": label.k}
 
 

@@ -99,10 +99,9 @@ class TestPairedRandom:
             if a.feasible:
                 assert a.achieved_profit == b.achieved_profit
 
-
     def test_heavy_high_half_brute_vs_dp(self):
-        # 20 items put two past brute force's 18-item low half; the high-half
-        # subsets holding the 200-weight item alone exceed the capacity
+        # 20 items put two past brute force's 18-item low half; every
+        # high-half subset with the 200-weight item exceeds the capacity
         rng = random.Random(19)
         items = [Item(rng.randrange(1, 30), rng.randrange(1, 30)) for _ in range(18)]
         inst = KnapsackInstance((*items, Item(200, 1000), Item(150, 900)), 180, 0)

@@ -32,6 +32,7 @@ from .core import (
     SchemaError,
     SubsetSumInstance,
     X3CInstance,
+    _check_int,
 )
 from .generators import SplitMix64, gen_knapsack, gen_rss, gen_x3c
 from .kernel import group, kernelize, kernelize_with_report, solve_grouped
@@ -159,6 +160,7 @@ def verify_compose(t: int, n: int, trials: int, seed: int):
             "verify.scale",
             f"(t={t}, n={n}) outside the oracle-checked scales {sorted(_VERIFY_SCALES)}",
         )
+    _check_int("verify.trials", "trials", trials, 0)
     if trials > _VERIFY_SCALES[t, n]:
         raise GuardError(
             "verify.trials", f"{trials} trials at (t={t}, n={n}), limit {_VERIFY_SCALES[t, n]}"

@@ -89,8 +89,7 @@ class CompositionConstants:
         t, n = self.t, self.n
         if not _is_int(t) or t < 2 or t & (t - 1):
             raise InvariantError("compose.t", f"t must be a power of two >= 2, got {_shown(t)}")
-        if not _is_int(n) or n < 1:
-            raise InvariantError("compose.n", f"n must be >= 1, got {_shown(n)}")
+        _check_int("compose.n", "n", n, 1)
         put = object.__setattr__
         put(self, "lg_t", t.bit_length() - 1)
         put(self, "rss_target", restricted_target(n))
@@ -278,11 +277,19 @@ def compose(instances: list[RestrictedSubsetSumInstance]) -> ComposedInstance:
     return ComposedInstance(knapsack, constants, tuple(padded))
 
 
+def _check_index(i: int, lg_t: int) -> None:
+    """Refuse ``i`` outside ``0..2**lg_t - 1`` and ``lg_t < 1``."""
+    _check_int("witness.instance", "instance index", i)
+    _check_int("compose.t", "bit count lg_t", lg_t, 1)
+    if i < 0 or i >> lg_t:
+        raise InvariantError("witness.instance",
+                             f"instance index {_shown(i)} outside 0..2**{_shown(lg_t)} - 1")
+
+
 def quadratization_labels(i: int, lg_t: int) -> frozenset[Label]:
     """Quadratization items a canonical index-``i`` solution picks; bit pairs
     that are both zero contribute nothing."""
-    _check_int("witness.instance", "instance index", i)
-    _check_int("compose.t", "bit count lg_t", lg_t)
+    _check_index(i, lg_t)
     labels = set()
     for k in range(lg_t):
         for l in range(k + 1, lg_t):
@@ -296,8 +303,7 @@ def quadratization_labels(i: int, lg_t: int) -> frozenset[Label]:
 
 def index_labels(i: int, lg_t: int) -> frozenset[Label]:
     """Index items spelling out ``i`` in binary, one per bit position."""
-    _check_int("witness.instance", "instance index", i)
-    _check_int("compose.t", "bit count lg_t", lg_t)
+    _check_index(i, lg_t)
     return frozenset(Index((i >> k) & 1, k) for k in range(lg_t))
 
 
@@ -314,17 +320,13 @@ def canonical_solution(
     """
     constants = composed.constants
     t, n = constants.t, constants.n
-    _check_int("witness.instance", "instance index", which)
-    if not 0 <= which < t:
-        raise InvariantError("witness.instance", f"instance index {_shown(which)} out of range")
+    _check_index(which, constants.lg_t)
     witness = _as_tuple(witness, "witness.cardinality", "witness")
     for p in witness:
         _check_int("witness.position", "witness position", p)
     positions = sorted(set(witness))
     if len(witness) != n or len(positions) != n:
-        raise InvariantError(
-            "witness.cardinality", f"witness must hold {n} distinct positions"
-        )
+        raise InvariantError("witness.cardinality", f"witness must hold {n} distinct positions")
     inst = composed.inputs[which]
     if not all(0 <= p < 3 * n for p in positions):
         raise InvariantError("witness.position", "witness position out of range")

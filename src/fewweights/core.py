@@ -6,6 +6,7 @@ that are sums of exactly three powers of ``3n + 1``.  Everything here is an
 exact integer; there is no floating point anywhere in this package.  All
 types are immutable after construction and all operations are pure
 functions, so values can be shared freely across parallel workers.
+``_check_int`` alone owns the int-argument rule: an int, not a bool, >= a bound.
 """
 
 from __future__ import annotations
@@ -111,10 +112,12 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_int(code: str, name: str, value) -> None:
-    """``InvariantError(code)`` unless ``value`` is an int and not a bool."""
-    if not _is_int(value):
-        raise InvariantError(code, f"{name} must be an int, got {_shown(value, repr)}")
+def _check_int(code: str, name: str, value, least: int | None = None) -> None:
+    """``InvariantError(code)`` unless ``value`` is an int, not a bool, and
+    not below ``least`` if given; the type is tested first."""
+    if not _is_int(value) or least is not None and value < least:
+        bound = "" if least is None else f" >= {least}"
+        raise InvariantError(code, f"{name} must be an int{bound}, got {_shown(value, repr)}")
 
 
 def _as_tuple(value, code: str, field: str) -> tuple:
@@ -149,15 +152,8 @@ class Item:
     label: Label | None = None
 
     def __post_init__(self):
-        w, p = self.weight, self.profit
-        if not _is_int(w):
-            raise InvariantError("item.weight", "item weight must be an int")
-        if not _is_int(p):
-            raise InvariantError("item.profit", "item profit must be an int")
-        if w < 0:
-            raise InvariantError("item.weight", f"negative weight {_shown(w)}")
-        if p < 0:
-            raise InvariantError("item.profit", f"negative profit {_shown(p)}")
+        _check_int("item.weight", "item weight", self.weight, 0)
+        _check_int("item.profit", "item profit", self.profit, 0)
         if self.label is not None and not isinstance(self.label, Label):
             raise InvariantError(
                 "item.label",
@@ -175,10 +171,8 @@ class KnapsackInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "items", _as_tuple(self.items, "knapsack.items", "items"))
-        if not _is_int(self.capacity) or self.capacity < 0:
-            raise InvariantError("knapsack.capacity", "capacity must be a natural")
-        if not _is_int(self.target) or self.target < 0:
-            raise InvariantError("knapsack.target", "target must be a natural")
+        _check_int("knapsack.capacity", "capacity", self.capacity, 0)
+        _check_int("knapsack.target", "target", self.target, 0)
 
     def subset_weight(self, indices) -> int:
         return sum(self.items[i].weight for i in indices)
@@ -194,10 +188,9 @@ class SubsetSumInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "numbers", _as_tuple(self.numbers, "subsetsum.numbers", "numbers"))
-        if not all(_is_int(a) and a >= 0 for a in self.numbers):
-            raise InvariantError("subsetsum.numbers", "numbers must be naturals")
-        if not _is_int(self.target) or self.target < 0:
-            raise InvariantError("subsetsum.target", "target must be a natural")
+        for a in self.numbers:
+            _check_int("subsetsum.numbers", "number", a, 0)
+        _check_int("subsetsum.target", "target", self.target, 0)
 
 
 @dataclass(frozen=True)
@@ -210,8 +203,7 @@ class RestrictedSubsetSumInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "numbers", _as_tuple(self.numbers, "rss.numbers", "numbers"))
-        if not _is_int(self.n) or self.n < 1:
-            raise InvariantError("rss.n", "size parameter must be >= 1")
+        _check_int("rss.n", "size parameter", self.n, 1)
         if len(self.numbers) != 3 * self.n:
             raise InvariantError(
                 "rss.count",
@@ -239,8 +231,7 @@ class X3CInstance:
     triples: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if not _is_int(self.n) or self.n < 1:
-            raise InvariantError("x3c.n", "size parameter must be >= 1")
+        _check_int("x3c.n", "size parameter", self.n, 1)
         triples = _as_tuple(self.triples, "x3c.triples", "triples")
         # before anything is sized by n: a huge n must not allocate
         if len(triples) != 3 * self.n:
@@ -295,17 +286,10 @@ class SolverResult:
 _UNIVERSE_GUARD = 5 * 10**5
 
 
-def _check_size(n) -> None:
-    """``InvariantError("universe.n")`` unless ``n`` is an int of at least 1."""
-    _check_int("universe.n", "size parameter", n)
-    if n < 1:
-        raise InvariantError("universe.n", "size parameter must be >= 1")
-
-
 def restricted_target(n: int) -> int:
     """Common target for all size-``n`` restricted instances: the sum of
     ``(3n+1)**j`` over ``j = 1..3n``.  Always even."""
-    _check_size(n)
+    _check_int("universe.n", "size parameter", n, 1)
     m = 3 * n
     # the geometric series base + ... + base**m, whose ratio less one is m
     return ((m + 1) ** (m + 1) - (m + 1)) // m
@@ -323,7 +307,7 @@ def membership_in_restricted_universe(a: int, n: int):
     where it is found, before any power above ``base**(3n + 1)`` is built.
     """
     _check_int("universe.member", "candidate", a)
-    _check_size(n)
+    _check_int("universe.n", "size parameter", n, 1)
     m = 3 * n
     base = m + 1
     # lg base < bits / k, so base**j <= 2**(a.bit_length() - 1) <= a at the
@@ -351,7 +335,7 @@ def membership_in_restricted_universe(a: int, n: int):
 def restricted_universe_size(n: int) -> int:
     """Number of distinct universe members: multisets of three exponents out
     of ``3n``, i.e. ``(3n)(3n+1)(3n+2)/6``."""
-    _check_size(n)
+    _check_int("universe.n", "size parameter", n, 1)
     m = 3 * n
     return m * (m + 1) * (m + 2) // 6
 
@@ -379,15 +363,9 @@ def digit_solutions(value: int, base: int, length: int) -> list[tuple[int, ...]]
     rest solve ``(value - x_0) / base``, smaller ``x_0`` first.  For ``value
     = sum_{i<length} base**i`` the unique solution is the all-ones vector.
     """
-    _check_int("digits.value", "value", value)
-    _check_int("digits.base", "base", base)
-    _check_int("digits.length", "length", length)
-    if base < 2:
-        raise InvariantError("digits.base", "base must be >= 2")
-    if length < 1:
-        raise InvariantError("digits.length", "length must be >= 1")
-    if value < 0:
-        raise InvariantError("digits.value", "value must be a natural")
+    _check_int("digits.value", "value", value, 0)
+    _check_int("digits.base", "base", base, 2)
+    _check_int("digits.length", "length", length, 1)
     space = 1
     for _ in range(length):  # stops within lg(_DIGIT_GUARD) steps, since base + 1 >= 3
         space *= base + 1

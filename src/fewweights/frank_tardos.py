@@ -225,9 +225,7 @@ def simultaneous_approximation(v, k: int):
     r = len(v)
     if not any(v):
         raise InvariantError("sda.dim", "need a nonzero vector")
-    _check_int("sda.eps", "precision k", k)
-    if k < 2:
-        raise InvariantError("sda.eps", f"precision 1/k needs k >= 2, got {_shown(k)}")
+    _check_int("sda.eps", "precision k", k, 2)
     g = gcd(*v)
     v = [x // g for x in v]
     m = max(abs(x) for x in v)
@@ -279,9 +277,7 @@ def frank_tardos_reduce(weights, n_bound: int) -> list[int]:
     entries = [index(x) for x in weights]
     if not entries:
         raise InvariantError("ft.dim", "cannot reduce an empty vector")
-    _check_int("ft.bound", "norm budget", n_bound)
-    if n_bound < 1:
-        raise InvariantError("ft.bound", f"norm budget must be >= 1, got {_shown(n_bound)}")
+    _check_int("ft.bound", "norm budget", n_bound, 1)
     distinct = sorted(set(entries))
     g = gcd(*distinct) or 1
     exact = [v // g for v in distinct]

@@ -95,9 +95,7 @@ class SplitMix64:
     def randrange(self, bound: int) -> int:
         """Uniform draw from 0..bound-1 by unbiased rejection; bounds beyond
         64 bits draw several words."""
-        _check_int("rng.bound", "bound", bound)
-        if bound <= 0:
-            raise InvariantError("rng.bound", f"bound must be positive, got {_shown(bound)}")
+        _check_int("rng.bound", "bound", bound, 1)
         if bound == 1:
             return 0
         bits = bound.bit_length()
@@ -186,9 +184,7 @@ def gen_x3c(n: int, seed: int, want_yes: bool) -> X3CInstance:
     three full partitions would each contain a cover, so they cannot serve
     here.
     """
-    _check_int("gen.n", "size parameter", n)
-    if n < 1:
-        raise InvariantError("gen.n", "size parameter must be >= 1")
+    _check_int("gen.n", "size parameter", n, 1)
     rng = SplitMix64(seed)
     if want_yes:
         if n > _X3C_SIZE_LIMIT:
@@ -264,12 +260,10 @@ def gen_knapsack(
     uniformly from the pools.  Capacity and target are uniform over the
     achievable ranges so that both verdicts occur.
     """
-    _check_int("gen.items", "item count", n_items)
+    _check_int("gen.items", "item count", n_items, 1)
     _check_int("gen.distinct", "distinct count", w_distinct)
     _check_int("gen.distinct", "distinct count", p_distinct)
     _check_int("gen.max-value", "max_value", max_value)
-    if n_items < 1:
-        raise InvariantError("gen.items", "need at least one item")
     if not 1 <= w_distinct <= n_items or not 1 <= p_distinct <= n_items:
         raise InvariantError(
             "gen.distinct", "distinct counts must lie in 1..n_items"

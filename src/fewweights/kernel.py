@@ -26,7 +26,6 @@ from .core import (
     SolverResult,
     _as_tuple,
     _check_int,
-    _is_int,
     _shown,
 )
 from .frank_tardos import frank_tardos_reduce
@@ -64,16 +63,12 @@ class GroupedInstance:
             if not (isinstance(c, tuple) and len(c) == 3):
                 raise InvariantError("grouped.classes", "a class is a (weight, profit, members) tuple")
             w, p, members = c
-            if not _is_int(w) or w < 0:
-                raise InvariantError("grouped.weight", "class weights must be naturals")
-            if not _is_int(p) or p < 0:
-                raise InvariantError("grouped.profit", "class profits must be naturals")
+            _check_int("grouped.weight", "class weight", w, 0)
+            _check_int("grouped.profit", "class profit", p, 0)
             if not isinstance(members, tuple):
                 raise InvariantError("grouped.members", "class members must be a tuple")
-        if not _is_int(self.capacity) or self.capacity < 0:
-            raise InvariantError("grouped.capacity", "capacity must be a natural")
-        if not _is_int(self.target) or self.target < 0:
-            raise InvariantError("grouped.target", "target must be a natural")
+        _check_int("grouped.capacity", "capacity", self.capacity, 0)
+        _check_int("grouped.target", "target", self.target, 0)
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -122,7 +117,8 @@ def solve_grouped(g: GroupedInstance) -> SolverResult:
     A class's count ``x`` is the sum of its chosen splitting coefficients,
     and the witness ``chosen`` takes the class's first ``x`` items; its
     totals, summed over those items, must equal the re-encoded solve's
-    checked totals, or ``InternalError("kernel.witness")`` is raised.
+    checked totals, or ``InternalError("kernel.witness")`` is raised; taking an
+    index twice, from two classes that share it, raises ``InvariantError("grouped.members")``.
     Meet-in-the-middle's entry budget is the only cost guard
     (``GuardError("solve.mim")``).
     """
@@ -141,11 +137,14 @@ def solve_grouped(g: GroupedInstance) -> SolverResult:
         chosen.extend(taken)
         weight += len(taken) * w
         profit += len(taken) * p
+    witness = frozenset(chosen)
+    if len(witness) != len(chosen):
+        raise InvariantError("grouped.members", "the witness takes an item that two classes share")
     if (weight, profit) != (res.achieved_weight, res.achieved_profit):
         raise InternalError("kernel.witness", f"witness weight {_shown(weight)}, profit"
                             f" {_shown(profit)}; split solve weight"
                             f" {_shown(res.achieved_weight)}, profit {_shown(res.achieved_profit)}")
-    return SolverResult(True, frozenset(chosen), weight, profit)
+    return SolverResult(True, witness, weight, profit)
 
 
 def reduce_ilp(g: GroupedInstance) -> GroupedInstance:
@@ -203,9 +202,7 @@ def reduce_ilp(g: GroupedInstance) -> GroupedInstance:
 def binary_split(bound: int) -> list[int]:
     """Coefficients 1, 2, 4, ... plus a remainder whose subset sums cover
     exactly ``0..bound``."""
-    _check_int("split.bound", "bound", bound)
-    if bound < 0:
-        raise InvariantError("split.bound", "bound must be a natural")
+    _check_int("split.bound", "bound", bound, 0)
     if bound == 0:
         return []
     steps = (bound + 1).bit_length() - 1

@@ -757,6 +757,12 @@ class TestVerify:
     def test_verify_compose_scale_guard(self):
         assert main(["verify", "compose", "--t", "64", "--n", "1"]) == 3
 
+    def test_verify_compose_negative_trials(self, capsys):
+        assert main(["verify", "compose", "--t", "2", "--n", "1", "--trials", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[verify.trials]: trials must be an int >= 0, got -5")
+        assert captured.out == ""
+
     def test_verify_compose_library_entry(self):
         ok, rows, failures = verify_compose(2, 2, 0, 7)
         assert ok and not failures

@@ -38,6 +38,7 @@ from fewweights.core import (
     restricted_universe_size,
 )
 from fewweights import core, serialize
+from fewweights.cli import verify_compose
 from fewweights.frank_tardos import frank_tardos_reduce, lll_reduce, simultaneous_approximation
 from fewweights.generators import SplitMix64, gen_knapsack, gen_rss, gen_x3c
 from fewweights.kernel import GroupedInstance, binary_split, ilp_to_knapsack, reduce_ilp
@@ -281,10 +282,18 @@ class TestTypes:
             Item(0, bad)
         assert err.value.code == "item.profit"
 
-    def test_item_checks_both_types_before_signs(self):
-        with pytest.raises(InvariantError) as err:
-            Item(-1, True)
-        assert err.value.code == "item.profit"
+    def test_item_checks_weight_before_profit(self):
+        # each field is checked whole, type and sign, before the next one
+        for weight, profit, code in [
+            (-1, True, "item.weight"),
+            (True, -1, "item.weight"),
+            (1.0, -1, "item.weight"),
+            (1, True, "item.profit"),
+            (1, -1, "item.profit"),
+        ]:
+            with pytest.raises(InvariantError) as err:
+                Item(weight, profit)
+            assert err.value.code == code
 
     def test_item_accepts_int_subclasses_other_than_bool(self):
         class Size(IntEnum):
@@ -774,6 +783,21 @@ _BAD_ARGUMENT_CALLS = [
         lambda: ilp_to_knapsack(GroupedInstance(((3, 2),), 1, 1)),
         id="grouped-class-pair",
     ),
+    pytest.param("witness.instance", lambda: index_labels(-1, 3), id="index-labels-negative"),
+    pytest.param("witness.instance", lambda: index_labels(8, 3), id="index-labels-too-wide"),
+    pytest.param("compose.t", lambda: index_labels(0, 0), id="index-labels-no-bits"),
+    pytest.param(
+        "witness.instance", lambda: quadratization_labels(-1, 3), id="quad-labels-negative"
+    ),
+    pytest.param(
+        "witness.instance", lambda: quadratization_labels(4, 2), id="quad-labels-too-wide"
+    ),
+    pytest.param("compose.t", lambda: quadratization_labels(1, -2), id="quad-labels-negative-t"),
+    pytest.param("verify.trials", lambda: verify_compose(2, 1, "x", 0), id="verify-trials-str"),
+    # each argument is checked whole, type and bound, before the next one
+    pytest.param("digits.value", lambda: digit_solutions(-1, 1, 0), id="digits-value-first"),
+    pytest.param("digits.base", lambda: digit_solutions(0, 1, 0.5), id="digits-base-second"),
+    pytest.param("gen.items", lambda: gen_knapsack(0, 1.0, 1, 9, 3), id="gen-items-first"),
 ]
 
 
@@ -782,6 +806,62 @@ def test_bad_arguments_raise_their_code(code, call):
     with pytest.raises(InvariantError) as err:
         call()
     assert err.value.code == code
+
+
+# every bounded int argument: (code, name in the message, least, call with
+# the value); each is refused with one message shape, below its bound or bool
+_BOUNDED_INT_SITES = {
+    "item-weight": ("item.weight", "item weight", 0, lambda v: Item(v, 0)),
+    "item-profit": ("item.profit", "item profit", 0, lambda v: Item(0, v)),
+    "knapsack-capacity": (
+        "knapsack.capacity", "capacity", 0, lambda v: KnapsackInstance((), v, 0)
+    ),
+    "knapsack-target": ("knapsack.target", "target", 0, lambda v: KnapsackInstance((), 0, v)),
+    "subsetsum-numbers": (
+        "subsetsum.numbers", "number", 0, lambda v: SubsetSumInstance((1, v), 0)
+    ),
+    "subsetsum-target": ("subsetsum.target", "target", 0, lambda v: SubsetSumInstance((), v)),
+    "rss-n": ("rss.n", "size parameter", 1, lambda v: RestrictedSubsetSumInstance(v, ())),
+    "x3c-n": ("x3c.n", "size parameter", 1, lambda v: X3CInstance(v, ())),
+    "universe-target": ("universe.n", "size parameter", 1, restricted_target),
+    "universe-member": (
+        "universe.n", "size parameter", 1, lambda v: membership_in_restricted_universe(84, v)
+    ),
+    "universe-size": ("universe.n", "size parameter", 1, restricted_universe_size),
+    "universe-enumerate": ("universe.n", "size parameter", 1, enumerate_restricted_universe),
+    "grouped-weight": (
+        "grouped.weight", "class weight", 0, lambda v: GroupedInstance(((v, 2, (0,)),), 1, 1)
+    ),
+    "grouped-profit": (
+        "grouped.profit", "class profit", 0, lambda v: GroupedInstance(((3, v, (0,)),), 1, 1)
+    ),
+    "grouped-capacity": ("grouped.capacity", "capacity", 0, lambda v: GroupedInstance((), v, 1)),
+    "grouped-target": ("grouped.target", "target", 0, lambda v: GroupedInstance((), 1, v)),
+    "split-bound": ("split.bound", "bound", 0, binary_split),
+    "sda-eps": ("sda.eps", "precision k", 2, lambda v: simultaneous_approximation([1, 2], v)),
+    "ft-bound": ("ft.bound", "norm budget", 1, lambda v: frank_tardos_reduce([1, 2], v)),
+    "rng-bound": ("rng.bound", "bound", 1, lambda v: SplitMix64(1).randrange(v)),
+    "gen-x3c-n": ("gen.n", "size parameter", 1, lambda v: gen_x3c(v, 1, True)),
+    "gen-items": ("gen.items", "item count", 1, lambda v: gen_knapsack(v, 1, 1, 9, 3)),
+    "compose-n": ("compose.n", "n", 1, lambda v: CompositionConstants(2, v)),
+    "digits-value": ("digits.value", "value", 0, lambda v: digit_solutions(v, 2, 1)),
+    "digits-base": ("digits.base", "base", 2, lambda v: digit_solutions(0, v, 1)),
+    "digits-length": ("digits.length", "length", 1, lambda v: digit_solutions(0, 2, v)),
+    "index-labels-lg-t": ("compose.t", "bit count lg_t", 1, lambda v: index_labels(0, v)),
+    "quad-labels-lg-t": ("compose.t", "bit count lg_t", 1, lambda v: quadratization_labels(0, v)),
+    "verify-trials": ("verify.trials", "trials", 0, lambda v: verify_compose(2, 1, v, 0)),
+}
+
+
+@pytest.mark.parametrize("site", _BOUNDED_INT_SITES)
+@pytest.mark.parametrize("kind", ["below", "bool"])
+def test_bounded_int_message_shape(site, kind):
+    code, name, least, call = _BOUNDED_INT_SITES[site]
+    value = least - 1 if kind == "below" else True
+    with pytest.raises(InvariantError) as err:
+        call(value)
+    assert err.value.code == code
+    assert str(err.value) == f"{name} must be an int >= {least}, got {value!r}"
 
 
 def test_huge_json_literal_is_schema_error(default_digit_limit, tmp_path):

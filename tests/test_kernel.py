@@ -144,6 +144,17 @@ class TestSolveGrouped:
         )
         assert solve_grouped(g).feasible == grouped_reference(g)
 
+    @pytest.mark.parametrize(
+        "classes, capacity, target",
+        [(((3, 2, (0,)), (3, 2, (0,))), 6, 4), (((3, 2, (0, 1)), (4, 2, (1, 2))), 20, 8)],
+        ids=["same-class-twice", "overlapping-classes"],
+    )
+    def test_witness_taking_a_shared_item_twice_is_refused(self, classes, capacity, target):
+        # every feasible assignment takes the shared index from both classes
+        with pytest.raises(InvariantError) as exc:
+            solve_grouped(GroupedInstance(classes, capacity, target))
+        assert exc.value.code == "grouped.members"
+
     def test_budget_guard(self, monkeypatch):
         # the re-encoding's 16 items need more front entries than a budget
         # of 10, and meet-in-the-middle's guard is the grouped solve's guard

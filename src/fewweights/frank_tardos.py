@@ -38,9 +38,8 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from math import gcd, inf, lcm
-from operator import index
 
-from .core import GuardError, InternalError, InvariantError, _check_int, _shown
+from .core import GuardError, InternalError, InvariantError, _as_tuple, _check_int, _shown
 
 __all__ = ["lll_reduce", "simultaneous_approximation", "frank_tardos_reduce"]
 
@@ -51,6 +50,15 @@ _DELTA = (3, 4)
 # 24x24 knapsack at 2^1024, whose unbounded LLL calls took 30-42 s each,
 # kernelizes in about 4 s (Python 3.11.7, 2 vCPUs).
 _LLL_WORK = 24_000_000
+
+
+def _int_vector(values, code: str, name: str) -> list[int]:
+    """``values`` as a list, or ``InvariantError(code)`` unless it is an
+    iterable of ints."""
+    entries = list(_as_tuple(values, code, name))
+    for x in entries:
+        _check_int(code, f"{name} entry", x)
+    return entries
 
 
 class _OutOfWork(Exception):
@@ -141,7 +149,7 @@ def _gram_schmidt(b):
 def lll_reduce(basis) -> list[list[int]]:
     """LLL with incremental coefficient updates (no re-orthogonalization).
 
-    Rows must be independent integer vectors of one length, or
+    Rows must be independent vectors of ints (not bools) of one length, or
     ``InvariantError("lll.basis")`` is raised.  Returns a new reduced basis
     of ``int`` rows spanning the same lattice.  The Gram-Schmidt quantities
     are exact rationals kept as reduced ``(numerator, denominator)`` pairs
@@ -149,7 +157,8 @@ def lll_reduce(basis) -> list[list[int]]:
     without its per-operation object overhead.  Inside a lattice row of
     :func:`frank_tardos_reduce` each Lovasz test and size reduction is
     charged to that row's work budget; called directly it is unbounded."""
-    b = [[index(x) for x in row] for row in basis]
+    rows = _as_tuple(basis, "lll.basis", "basis")
+    b = [_int_vector(row, "lll.basis", "basis row") for row in rows]
     n = len(b)
     if len({len(row) for row in b}) > 1:
         raise InvariantError("lll.basis", "rows of unequal length")
@@ -214,14 +223,15 @@ def simultaneous_approximation(v, k: int):
     ``i``, where ``m = max |v_i|``, and ``1 <= q <= 2**ceil(r(r+1)/4) * k**r``:
     ``p / q`` approximates ``v / m`` within ``1/k``.
 
-    ``v`` must be a nonzero integer vector and ``k >= 2``.  The lattice
-    supplies ``q``: it is read off the last coordinate of the first vector of
-    an LLL-reduced basis of the lattice spanned by the unit rows and
-    ``(-v / m, 1 / (k Q))``, scaled to integers.  Each ``p_i`` is then the
-    nearest integer to ``q * v_i / m``, halves up.  For ``k >= 3`` that is
-    the ``p`` the vector encodes, as ``|q * v_i / m - p_i| <= 1/k < 1/2``.
+    ``v`` must be a nonzero vector of ints, not bools (``sda.entry``), and
+    ``k >= 2``.  The lattice supplies ``q``: it is read off the last
+    coordinate of the first vector of an LLL-reduced basis of the lattice
+    spanned by the unit rows and ``(-v / m, 1 / (k Q))``, scaled to
+    integers.  Each ``p_i`` is then the nearest integer to ``q * v_i / m``,
+    halves up.  For ``k >= 3`` that is the ``p`` the vector encodes, as
+    ``|q * v_i / m - p_i| <= 1/k < 1/2``.
     """
-    v = [index(x) for x in v]
+    v = _int_vector(v, "sda.entry", "vector")
     r = len(v)
     if not any(v):
         raise InvariantError("sda.dim", "need a nonzero vector")
@@ -262,9 +272,11 @@ def frank_tardos_reduce(weights, n_bound: int) -> list[int]:
     """Reduce an integer vector to a small integer vector agreeing in sign
     with it against every integer ``b`` with ``sum |b_i| <= n_bound``.
 
-    Equal input coordinates are collapsed before reduction and re-expanded
-    afterwards; grouping the entries of any ``b`` can only lower its l1-norm,
-    so the contract carries over and equal coordinates provably stay equal.
+    The entries must be ints, not bools, or ``InvariantError("ft.entry")``
+    is raised.  Equal input coordinates are collapsed before reduction and
+    re-expanded afterwards; grouping the entries of any ``b`` can only lower
+    its l1-norm, so the contract carries over and equal coordinates provably
+    stay equal.
 
     One rule decides the result: it is the exact row (the distinct entries
     divided by their gcd) unless the lattice row is strictly shorter and its
@@ -274,7 +286,7 @@ def frank_tardos_reduce(weights, n_bound: int) -> list[int]:
     exceeds the size bound ``2**(4 r**3) * N**(r**2 + 2 r)`` for its ``r``
     distinct entries.
     """
-    entries = [index(x) for x in weights]
+    entries = _int_vector(weights, "ft.entry", "weights")
     if not entries:
         raise InvariantError("ft.dim", "cannot reduce an empty vector")
     _check_int("ft.bound", "norm budget", n_bound, 1)

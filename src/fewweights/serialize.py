@@ -13,14 +13,24 @@ files.  Two tables define the format: ``_KINDS`` gives each kind its type and
 its fields, and ``_FIELDS`` one codec per field name, so a field such as
 ``target`` has the same JSON shape in every kind that has it.
 
-A knapsack ``items`` entry is either an object or an int ``j``, a
-back-reference: the same item as the earlier entry at position ``j``, which
-must hold an unlabeled item.  The writer spells out the first occurrence of
-each unlabeled (weight, profit) pair and refers back to it for every equal
-unlabeled item after it, so a document costs bytes per distinct pair, not per
-item; labeled items are always objects.  The loader gives a back-reference
-the very ``Item`` object of its target, so repeats share one frozen
-``Item``; every object entry gets an ``Item`` of its own.
+A knapsack's ``items`` take one of two forms.  The list form has one entry
+per item: an object, or an int ``j``, a back-reference: the same item as the
+earlier entry at position ``j``, which must hold an unlabeled item.  The
+palette form ``{"palette": [...], "pattern": "..."}`` lists each distinct
+unlabeled (weight, profit) pair once as an object without a label, at most
+64 of them, and spells the items as one character each from ``_ALPHABET``,
+character ``i`` naming palette entry ``i``.
+
+The writer uses the palette form when every item is unlabeled, some pair
+repeats and there are at most 64 distinct pairs, with the palette in
+first-occurrence order.  Otherwise it writes the list form, spelling out the
+first occurrence of each unlabeled pair and referring back to it for every
+equal unlabeled item after it; labeled items are always objects.  Either
+way a document costs bytes per distinct pair, and the palette form one
+character per item.  The loader reads both forms, list documents with one
+object per item included.  Items that name one palette entry, or a
+back-reference and its target, share one frozen ``Item``; every object entry
+of a list gets an ``Item`` of its own.
 
 Errors from ``load_instance`` do not name the file; the CLI, which knows what
 it was given, adds the path to every load error once.
@@ -29,6 +39,7 @@ it was given, adds the path to every load error once.
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 
 from .core import (
     Encoding,
@@ -111,7 +122,32 @@ def _label_from_obj(obj) -> Label | None:
 # The wire format as two tables: each kind's fields, and one codec per field
 # ---------------------------------------------------------------------------
 
-def _items_to_obj(items) -> list:
+# 64 characters that JSON writes as themselves, so a pattern needs no escape
+_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz-_"
+_PAIR_AND_LABEL = attrgetter("weight", "profit", "label")
+
+
+class _Codes(dict):
+    """(weight, profit, label) -> pattern character, handed out in
+    first-occurrence order; a labeled item, or a pair past the alphabet,
+    raises ``KeyError``."""
+
+    def __missing__(self, key):
+        if key[2] is not None or len(self) == len(_ALPHABET):
+            raise KeyError(key)
+        char = self[key] = _ALPHABET[len(self)]
+        return char
+
+
+def _items_to_obj(items) -> dict | list:
+    codes = _Codes()
+    try:
+        pattern = "".join(map(codes.__getitem__, map(_PAIR_AND_LABEL, items)))
+    except KeyError:
+        pattern = ""  # the list form
+    if len(codes) < len(pattern):
+        palette = [{"weight": str(w), "profit": str(p)} for w, p, _ in codes]
+        return {"palette": palette, "pattern": pattern}
     out = []
     first: dict[tuple[int, int], int] = {}  # unlabeled pair -> position of its object
     for it in items:
@@ -127,7 +163,30 @@ def _items_to_obj(items) -> list:
     return out
 
 
-def _items_from_obj(field: str, entries: list) -> tuple[Item, ...]:
+def _palette_items(form: dict) -> tuple[Item, ...]:
+    palette = _expect(form, "palette", list)
+    pattern = _expect(form, "pattern", str)
+    if len(palette) > len(_ALPHABET):
+        raise SchemaError("schema.item", "palette[64]: a palette holds at most 64 pairs")
+    lookup = {}
+    for i, (char, entry) in enumerate(zip(_ALPHABET, palette)):
+        if not isinstance(entry, dict) or "label" in entry:
+            raise SchemaError(
+                "schema.item", f"palette[{i}]: entry must be an object without a label"
+            )
+        lookup[char] = Item(_nat(entry, "weight"), _nat(entry, "profit"))
+    try:
+        return tuple(map(lookup.__getitem__, pattern))
+    except KeyError:
+        i = next(i for i, char in enumerate(pattern) if char not in lookup)
+        raise SchemaError(
+            "schema.item", f"pattern[{i}]: {pattern[i]!r} names no palette entry"
+        ) from None
+
+
+def _items_from_obj(field: str, entries: list | dict) -> tuple[Item, ...]:
+    if isinstance(entries, dict):
+        return _palette_items(entries)
     items = []
     for entry in entries:
         if type(entry) is int:
@@ -158,7 +217,7 @@ def _triples_from_obj(field: str, entries: list) -> tuple[tuple[int, int, int], 
 # its value once ``_expect`` has checked the value's JSON type
 _DECIMAL = (str, str, _decode_nat)
 _FIELDS = {
-    "items": (list, _items_to_obj, _items_from_obj),
+    "items": ((list, dict), _items_to_obj, _items_from_obj),
     "capacity": _DECIMAL,
     "target": _DECIMAL,
     "numbers": (

@@ -69,11 +69,22 @@ def random_knapsack(rng: random.Random, n: int, max_value: int) -> KnapsackInsta
     return KnapsackInstance(items, rng.randrange(total_w + 2), rng.randrange(total_p + 2))
 
 
+# the palette form's pattern characters; character i names palette entry i
+PATTERN_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz-_"
+
+
 def expand_references(obj: dict) -> dict:
     """A knapsack document with each back-reference replaced by a copy of the
-    entry it names: the document as the per-item format spelled it."""
+    entry it names, and a palette form by a copy of the palette entry each
+    pattern character names: the document as the per-item format spelled
+    it."""
+    entries = obj["items"]
+    if isinstance(entries, dict):
+        palette = entries["palette"]
+        items = [dict(palette[PATTERN_ALPHABET.index(c)]) for c in entries["pattern"]]
+        return {**obj, "items": items}
     items: list = []
-    for entry in obj["items"]:
+    for entry in entries:
         items.append(dict(items[entry]) if type(entry) is int else entry)
     return {**obj, "items": items}
 

@@ -318,9 +318,11 @@ class TestCompose:
         out = tmp_path / "c.json"
         main(["compose", str(yes), str(yes), "--out", str(out), "--strip-labels"])
         obj = json.loads(out.read_text())
-        # stripped items are unlabeled, so repeats are int back-references
-        assert any(type(entry) is int for entry in obj["items"])
-        assert all("label" not in entry for entry in obj["items"] if type(entry) is dict)
+        # stripped items are unlabeled and some repeat, so the file takes the
+        # palette form, whose entries carry no label
+        assert set(obj["items"]) == {"palette", "pattern"}
+        assert all("label" not in entry for entry in obj["items"]["palette"])
+        assert len(obj["items"]["pattern"]) == 9
         # still re-validates when read back
         assert isinstance(load_instance(out), KnapsackInstance)
 

@@ -703,6 +703,20 @@ _BAD_ARGUMENT_CALLS = [
     ),
     pytest.param("lll.basis", lambda: lll_reduce([[0, 0], [1, 1]]), id="lll-zero-row"),
     pytest.param("lll.basis", lambda: lll_reduce([[1, 2], [3]]), id="lll-ragged"),
+    pytest.param("lll.basis", lambda: lll_reduce([[True, 0], [0, 1]]), id="lll-bool-entry"),
+    pytest.param("lll.basis", lambda: lll_reduce([[1.5, 0], [0, 1]]), id="lll-float-entry"),
+    pytest.param("lll.basis", lambda: lll_reduce(5), id="lll-basis-not-iterable"),
+    pytest.param("lll.basis", lambda: lll_reduce([5]), id="lll-row-not-iterable"),
+    pytest.param("ft.entry", lambda: frank_tardos_reduce([True, 5, -7], 3), id="ft-bool-entry"),
+    pytest.param("ft.entry", lambda: frank_tardos_reduce([1.5, 5, -7], 3), id="ft-float-entry"),
+    pytest.param("ft.entry", lambda: frank_tardos_reduce(5, 3), id="ft-not-iterable"),
+    pytest.param(
+        "sda.entry", lambda: simultaneous_approximation([True, 3], 4), id="sda-bool-entry"
+    ),
+    pytest.param(
+        "sda.entry", lambda: simultaneous_approximation([1.5, 3], 4), id="sda-float-entry"
+    ),
+    pytest.param("sda.entry", lambda: simultaneous_approximation(3, 4), id="sda-not-iterable"),
     pytest.param("ft.bound", lambda: frank_tardos_reduce([3, 5, -7], 1.5), id="ft-float"),
     pytest.param("ft.bound", lambda: frank_tardos_reduce([3, 5, -7], True), id="ft-bool"),
     pytest.param(

@@ -352,8 +352,9 @@ class TestFrankTardosReduce:
         assert_signs_preserved(w, out, 3)
 
     def test_rejects_non_integers(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(InvariantError) as err:
             frank_tardos_reduce([Fraction(3, 7), 1], 3)
+        assert err.value.code == "ft.entry"
 
     @pytest.mark.parametrize("seed", range(30))
     def test_exhaustive_small_scale(self, seed):

@@ -1,8 +1,9 @@
-"""The knapsack wire format: an ``items`` entry is an object or the int
-position of an earlier unlabeled entry.  The writer spells each distinct
-unlabeled pair out once, the loader shares one ``Item`` per back-reference,
-and on per-item documents the loader behaves exactly like a decoder that
-builds every item on its own."""
+"""The knapsack wire format: ``items`` is a list whose entries are objects
+or the int position of an earlier unlabeled entry, or a palette of distinct
+unlabeled pairs with one pattern character per item.  The writer spells each
+distinct unlabeled pair out once, the loader shares one ``Item`` per
+back-reference or palette entry, and on every document the loader behaves
+exactly like a decoder that builds every item on its own."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expand_references
+from conftest import PATTERN_ALPHABET, expand_references
 from fewweights import serialize
 from fewweights.cli import main
 from fewweights.core import (
@@ -30,10 +31,32 @@ from fewweights.core import (
 from fewweights.generators import gen_knapsack, gen_rss, gen_x3c
 
 
+def palette_entries(form: dict) -> list:
+    """The per-item entries a palette form names, every palette entry and
+    pattern character checked on its own, in order."""
+    palette = serialize._expect(form, "palette", list)
+    pattern = serialize._expect(form, "pattern", str)
+    if len(palette) > 64:
+        raise SchemaError("schema.item", "palette[64]: a palette holds at most 64 pairs")
+    for i, entry in enumerate(palette):
+        if not isinstance(entry, dict) or "label" in entry:
+            raise SchemaError(
+                "schema.item", f"palette[{i}]: entry must be an object without a label"
+            )
+        serialize._nat(entry, "weight"), serialize._nat(entry, "profit")
+    for i, char in enumerate(pattern):
+        if char not in PATTERN_ALPHABET[: len(palette)]:
+            raise SchemaError("schema.item", f"pattern[{i}]: {char!r} names no palette entry")
+    return [palette[PATTERN_ALPHABET.index(char)] for char in pattern]
+
+
 def per_item_reference(obj: dict) -> KnapsackInstance:
     """Every entry checked and built on its own, in order."""
     items = []
-    for entry in serialize._expect(obj, "items", list):
+    entries = serialize._expect(obj, "items", (list, dict))
+    if isinstance(entries, dict):
+        entries = palette_entries(entries)
+    for entry in entries:
         if not isinstance(entry, dict):
             raise SchemaError("schema.item", "item must be an object or a reference")
         items.append(
@@ -152,9 +175,18 @@ class TestBackReferences:
             )
         obj = json.loads(json.dumps(serialize.instance_to_obj(inst)))
         assert serialize.instance_from_obj(obj) == inst
-        # each distinct unlabeled pair is spelled out exactly once, and every
-        # labeled item is an object of its own
+        # each distinct unlabeled pair is spelled out exactly once: in the
+        # palette when every item is unlabeled and some pair repeats (at most
+        # three pairs here), otherwise as a list object, every labeled item
+        # being an object of its own
         plain = [(it.weight, it.profit) for it in inst.items if it.label is None]
+        if len(plain) == len(inst.items) > len(set(plain)):
+            palette = obj["items"]["palette"]
+            assert [(int(e["weight"]), int(e["profit"])) for e in palette] == list(
+                dict.fromkeys(plain)
+            )
+            assert len(obj["items"]["pattern"]) == len(plain)
+            return
         objects = [e for e in obj["items"] if type(e) is dict and "label" not in e]
         spelled = Counter((int(e["weight"]), int(e["profit"])) for e in objects)
         assert spelled == Counter(set(plain))
@@ -231,12 +263,135 @@ class TestSharedItems:
         assert got[:2] == (SchemaError, "schema.label")
 
 
+@st.composite
+def palette_documents(draw):
+    """Palette-form documents over a palette of at most four entries or of
+    64 or 65; one fault may be planted: a bad entry, a label, a pattern
+    character past the palette or outside the alphabet, or a pattern that is
+    no string."""
+    size = draw(st.one_of(st.integers(0, 4), st.sampled_from([64, 65])))
+    palette = [{"weight": draw(_DECIMALS), "profit": draw(_DECIMALS)} for _ in range(size)]
+    chars = st.sampled_from(PATTERN_ALPHABET[: max(size, 1)])
+    pattern = "".join(draw(st.lists(chars, max_size=40)))
+    fault = draw(st.sampled_from([None] * 6 + ["entry", "label", "past", "outside", "type"]))
+    if fault in ("entry", "label") and palette:
+        i = draw(st.integers(0, size - 1))
+        if fault == "entry":
+            palette[i] = draw(bad_entries(palette[i]["weight"], palette[i]["profit"]))
+        else:
+            palette[i]["label"] = draw(_LABELS)
+    elif fault in ("past", "outside"):
+        past = PATTERN_ALPHABET[min(size, 63)]
+        char = past if fault == "past" else draw(st.sampled_from("!é\n"))
+        i = draw(st.integers(0, len(pattern)))
+        pattern = pattern[:i] + char + pattern[i:]
+    elif fault == "type":
+        pattern = list(pattern)
+    return knapsack({"palette": palette, "pattern": pattern})
+
+
+def _distinct(n: int) -> list[Item]:
+    return [Item(w, 2**64 + w) for w in range(n)]
+
+
+class TestPalette:
+    @settings(max_examples=500, deadline=None)
+    @given(palette_documents())
+    def test_matches_per_item_decoder(self, obj):
+        got = outcome(serialize.instance_from_obj, obj)
+        assert got == outcome(per_item_reference, obj)
+        if isinstance(got, KnapsackInstance):
+            # items that name one palette entry are one object
+            pattern = obj["items"]["pattern"]
+            first = {char: i for i, char in reversed(list(enumerate(pattern)))}
+            assert all(it is got.items[first[c]] for it, c in zip(got.items, pattern))
+
+    @pytest.mark.parametrize(
+        "items, code, message",
+        [
+            pytest.param(
+                {"palette": [{"weight": "1", "profit": "2", "label": None}], "pattern": "00"},
+                "schema.item", "palette[0]: entry must be an object without a label", id="label",
+            ),
+            pytest.param(
+                {"palette": [{"weight": "1", "profit": "2"}, 3], "pattern": "01"},
+                "schema.item",
+                "palette[1]: entry must be an object without a label",
+                id="non-object",
+            ),
+            pytest.param(
+                {"palette": [{"weight": "1", "profit": "2"}] * 2, "pattern": "0102"},
+                "schema.item", "pattern[3]: '2' names no palette entry", id="past-palette",
+            ),
+            pytest.param(
+                {"palette": [{"weight": "1", "profit": "2"}] * 65, "pattern": "00"},
+                "schema.item", "palette[64]: a palette holds at most 64 pairs", id="65-entries",
+            ),
+            pytest.param(
+                {"palette": [{"weight": "1", "profit": "2"}], "pattern": [0, 0]},
+                "schema.type", "pattern: unexpected type list", id="pattern-not-a-string",
+            ),
+            pytest.param(
+                {"pattern": "00"}, "schema.missing", "missing field 'palette'", id="no-palette",
+            ),
+        ],
+    )
+    def test_refused(self, items, code, message):
+        with pytest.raises(SchemaError) as err:
+            serialize.instance_from_obj(knapsack(items))
+        assert (err.value.code, str(err.value)) == (code, message)
+
+    @pytest.mark.parametrize(
+        "items, pattern",
+        [
+            pytest.param([Item(1, 2), Item(3, 4), Item(1, 2)], "010", id="repeats"),
+            pytest.param([Item(3, 4), Item(1, 2)], None, id="no-repeat"),
+            pytest.param([], None, id="empty"),
+            pytest.param([Item(1, 2), Item(1, 2), Item(1, 2, Index(0, 0))], None, id="labeled"),
+            pytest.param(_distinct(64) + [Item(0, 2**64)], PATTERN_ALPHABET + "0", id="64-pairs"),
+            pytest.param(_distinct(65) + [Item(0, 2**64)], None, id="65-pairs"),
+        ],
+    )
+    def test_writer_rule(self, items, pattern):
+        # the palette form exactly when every item is unlabeled, some pair
+        # repeats and there are at most 64 pairs, in first-occurrence order
+        inst = KnapsackInstance(tuple(items), 5, 3)
+        written = serialize.instance_to_obj(inst)["items"]
+        if pattern is None:
+            assert isinstance(written, list)
+        else:
+            pairs = list(dict.fromkeys((it.weight, it.profit) for it in items))
+            assert written == {
+                "palette": [{"weight": str(w), "profit": str(p)} for w, p in pairs],
+                "pattern": pattern,
+            }
+        assert serialize.instance_from_obj(serialize.instance_to_obj(inst)) == inst
+
+    @pytest.mark.parametrize("shape", [(64, 2, 2), (200, 4, 4), (100, 8, 8), (300, 2, 1)])
+    def test_list_documents_load_as_their_palette_document(self, shape):
+        inst = gen_knapsack(*shape, 2**64, 3)
+        palette_doc = serialize.instance_to_obj(inst)
+        assert isinstance(palette_doc["items"], dict)
+        per_item = expand_references(palette_doc)
+        # the list form's writer: each later copy of a pair refers back
+        first: dict = {}
+        referenced = []
+        for i, entry in enumerate(per_item["items"]):
+            j = first.setdefault((entry["weight"], entry["profit"]), i)
+            referenced.append(entry if j == i else j)
+        assert len(first) == len(palette_doc["items"]["palette"])
+        for doc in (palette_doc, per_item, {**per_item, "items": referenced}):
+            assert serialize.instance_from_obj(json.loads(json.dumps(doc))) == inst
+
+
 class TestPinnedBytes:
     def test_every_kind(self, tmp_path):
         # one document of each kind, both composed forms written by
         # `compose` itself, as `json.dumps(..., indent=2)` joined by newlines;
         # pinned before the format became one table, so key order, spacing
-        # and every value are held
+        # and every value are held; re-pinned when repeated unlabeled items
+        # took the palette form, which changed the last two documents and
+        # nothing they load to
         paths = []
         for s in range(4):
             paths.append(tmp_path / f"r{s}.json")
@@ -252,7 +407,7 @@ class TestPinnedBytes:
         big = serialize.instance_to_obj(gen_knapsack(64, 2, 2, 2**64, 9))
         docs.append(json.dumps(big, indent=2))
         digest = hashlib.sha256("\n".join(docs).encode()).hexdigest()
-        assert digest == "c2458a2e00589d7fa1feb517f31a5b2478402c932e1c07f8c3733b9be892dfb8"
+        assert digest == "64cc9fcb9d5ac959e0110880ef45bd5609b430bc57729364dd109eb043625824"
 
 
 # one valid document of each kind, and a value of the wrong JSON type for
@@ -284,7 +439,8 @@ class TestFieldSchema:
     @pytest.mark.parametrize("kind, field", _KIND_FIELDS)
     def test_wrong_json_type(self, kind, field):
         obj = dict(_VALID[kind])
-        obj[field] = _WRONG_TYPE[type(obj[field])]
+        # an object is the palette form of items
+        obj[field] = "[]" if field == "items" else _WRONG_TYPE[type(obj[field])]
         with pytest.raises(SchemaError) as err:
             serialize.instance_from_obj(obj)
         assert err.value.code == "schema.type"
